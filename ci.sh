@@ -27,6 +27,12 @@ cargo build --release
 echo "== cargo test =="
 cargo test -q
 
+echo "== benchmark build (perfbench against the public API) =="
+# perfbench/ is its own Cargo workspace compiled against crates/* by path:
+# building it here makes a public-API removal that breaks the benchmark
+# fail CI instead of the benchmark run.
+CARGO_TARGET_DIR=.bench_build cargo build --release --manifest-path perfbench/Cargo.toml
+
 echo "== perf snapshot gate (vs BENCH_seed.json) =="
 # The standard sweep is deterministic (quiet testbed, fixed seeds): any
 # makespan drift against the committed baseline is a code change. If a
@@ -41,11 +47,12 @@ echo "== scheduling policy gate (predictive < fifo, edf deadline wins) =="
 # misses, and all three policies must export sched_predict_abs_err.
 cargo test --release -q -p cocopelia-xp --test serve_sched
 
-echo "== open-arrival gate (backpressure, coalescing, closed-queue identity) =="
+echo "== open-arrival gate (backpressure, coalescing, closed-queue replay) =="
 # The ServeSession acceptance bars: seeded Poisson overload sheds to a
 # bounded queue and replays bit-identically, coalescing uploads strictly
-# fewer h2d bytes and beats the non-coalesced makespan, and the deprecated
-# closed-queue Executor::run wrapper stays bit-identical to a session drain.
+# fewer h2d bytes and beats the non-coalesced makespan, and two
+# closed-queue drains of the same trace under the same seeded fault plan
+# agree bit for bit.
 cargo test --release -q -p cocopelia-xp --test serve_open
 
 echo "== chaos soak gate (seeded fault injection) =="

@@ -62,7 +62,7 @@ fn next_dispatch() {
     for _ in 0..64 {
         exec.submit(shared_gemm());
     }
-    while let Some(decision) = exec.executor_mut().next_dispatch_for_bench() {
+    while let Some(decision) = exec.next_dispatch_for_bench() {
         black_box(decision);
     }
 }
@@ -76,7 +76,7 @@ fn next_event() {
     for i in 0..64u64 {
         exec.submit_at(shared_gemm(), SimTime::from_nanos(i * 1_000));
     }
-    while let Some(event) = exec.executor_mut().next_event_for_bench() {
+    while let Some(event) = exec.next_event_for_bench() {
         black_box(event);
     }
 }
@@ -98,7 +98,7 @@ fn residency_probe() {
     black_box(cache.used_bytes());
 }
 
-/// The span-record hot path: what the executor pays per traced request.
+/// The span-record hot path: what the session pays per traced request.
 #[inline(never)]
 fn span_record() {
     let mut log = SpanLog::default();
@@ -203,12 +203,11 @@ fn hedge_decision() {
         exec.submit(shared_gemm());
     }
     exec.drain();
-    let ex = exec.executor_mut();
     for i in 0..100_000u64 {
         // Alternate clear underruns and gross overruns of a 1 ms
         // prediction so both decision branches stay hot.
         let elapsed_ns = 500_000 + (i % 2) * 5_000_000;
-        black_box(ex.hedge_decision_for_bench(black_box(1e-3), black_box(elapsed_ns)));
+        black_box(exec.hedge_decision_for_bench(black_box(1e-3), black_box(elapsed_ns)));
     }
 }
 
@@ -233,27 +232,24 @@ fn prefetch_decision() {
         exec.submit(shared_gemm());
     }
     exec.drain();
-    let ex = exec.executor_mut();
     for i in 0..100_000u64 {
         // Alternate operand sets that hide inside and overflow a 1 ms
         // window so both decision branches stay hot.
         let bytes = 1 << (16 + (i % 2) * 12);
-        black_box(ex.prefetch_decision_for_bench(0, black_box(bytes as usize), black_box(1e-3)));
+        black_box(exec.prefetch_decision_for_bench(0, black_box(bytes as usize), black_box(1e-3)));
     }
 }
 
-/// Probe scheduling under a wide quarantine: the executor's "which canary
+/// Probe scheduling under a wide quarantine: the session's "which canary
 /// is due next" scan, the per-event-loop-iteration cost probation adds.
 #[inline(never)]
 fn probe_schedule() {
     let mut exec = quiet_session(4);
     for d in 0..4 {
-        exec.executor_mut()
-            .seed_probe_for_bench(d, (d as u64 + 1) * 1_000_000);
+        exec.seed_probe_for_bench(d, (d as u64 + 1) * 1_000_000);
     }
-    let ex = exec.executor_mut();
     for _ in 0..100_000u64 {
-        black_box(ex.next_probe_for_bench());
+        black_box(exec.next_probe_for_bench());
     }
 }
 

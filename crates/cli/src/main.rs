@@ -8,7 +8,7 @@
 //! cocopelia trace   --testbed ii --profile profile.json --routine dgemm --dims 8192 8192 8192 --out trace.json [--format chrome|jsonl]
 //! cocopelia gantt   --testbed i --dims 4096 4096 4096 --tile 1024
 //! cocopelia calib   --testbed i [--quick] [--json calib.json]
-//! cocopelia serve   --testbed i [--devices 2] [--trace requests.txt] [--faults seed=1,h2d=0.02,lost_after=20] [--trace-out out.perfetto] [--arrivals poisson:2000] [--seed 1] [--queue-cap 8] [--shed-flow-ms 50] [--coalesce] [--prefetch] [--snapshot-ms 5] [--watch] [--window-ms 5] [--slo deadline_miss<=0.1] [--ring 2048]
+//! cocopelia serve   --testbed i [--devices 2] [--trace requests.txt] [--faults seed=1,h2d=0.02,lost_after=20] [--trace-out out.perfetto] [--arrivals poisson:2000] [--seed 1] [--queue-cap 8] [--shed-flow-ms 50] [--coalesce] [--prefetch] [--watch] [--window-ms 5] [--slo deadline_miss<=0.1] [--ring 2048]
 //! cocopelia metrics --testbed i [--devices 2] [--trace requests.txt] [--format prom|text]
 //! cocopelia timeline --testbed i [--devices 2] [--trace requests.txt] [--faults ...] [--width 96] [--color]
 //! cocopelia snapshot --out BENCH_pr.json [--testbed i] [--label pr]
@@ -19,15 +19,16 @@
 //! sweep entry regressed, so it can gate CI directly.
 
 use cocopelia_core::models::{ModelCtx, ModelKind};
-use cocopelia_core::params::{Loc, ProblemSpec};
+use cocopelia_core::params::{Loc, ProblemSpec, RoutineClass};
 use cocopelia_core::profile::SystemProfile;
 use cocopelia_core::select::TileSelector;
 use cocopelia_deploy::{deploy, DeployConfig};
-use cocopelia_gpusim::{testbed_i, testbed_ii, ExecMode, FaultSpec, Gpu, TestbedSpec};
+use cocopelia_gpusim::{testbed_i, testbed_ii, ExecMode, FaultSpec, Gpu, SimScalar, TestbedSpec};
 use cocopelia_hostblas::Dtype;
+use cocopelia_runtime::serve::{ServeOptions, TelemetryConfig};
 use cocopelia_runtime::{
-    AxpyRequest, Cocopelia, DotRequest, GemmRequest, GemvRequest, MatOperand, RuntimeError,
-    TileChoice, VecOperand,
+    AxpyRequest, Cocopelia, DotRequest, GemmRequest, GemvRequest, MatOperand, RoutineRequest,
+    RuntimeError, TileChoice, VecOperand,
 };
 use std::collections::HashMap;
 use std::process::ExitCode;
@@ -139,7 +140,7 @@ usage:
                     [--policy <fifo|edf|predictive>] [--trace-out <out.json|out.perfetto>]
                     [--arrivals <poisson:rate_hz|bursty:rate_hz:on_ms:off_ms>] [--seed <N>]
                     [--queue-cap <N>] [--shed-flow-ms <N>] [--coalesce] [--prefetch]
-                    [--snapshot-ms <N>] [--watch] [--window-ms <N>]
+                    [--watch] [--window-ms <N>]
                     [--slo <kind<=limit,...>] [--ring <spans>]
                     [--hedge <mult|off>] [--probation <backoff_ms[:successes]|off>]
                     [--retry-budget <tokens[:refill_per_sec]|off>]
@@ -147,17 +148,20 @@ usage:
                     [--policy <fifo|edf|predictive>] [--format <prom|text>]
   cocopelia timeline --testbed <i|ii> [--devices <N>] [--trace <requests.txt>] [--faults <spec>]
                     [--policy <fifo|edf|predictive>] [--width <cols>] [--color]
-                    [--trace-out <out.json|out.perfetto>] [--snapshot-ms <N>]
+                    [--trace-out <out.json|out.perfetto>]
   cocopelia snapshot --out <BENCH_label.json> [--testbed <i|ii>] [--label <label>]
   cocopelia compare <base.json> <new.json> [--threshold <frac>] [--json <diff.json>]
+
+Every subcommand rejects flags it does not accept. --loc marks each operand
+H (host) or D (already on the device; uploaded before the timed call).
 
 fault spec grammar (comma-separated, e.g. seed=1,h2d=0.02,kernel=0.05,lost_after=20):
   seed=N h2d=P d2h=P kernel=P ecc=P lost_after=N degrade=START:END:FACTOR (repeatable)
 
 serve --watch streams one line per telemetry window (cadence = --window-ms of
-virtual time, default 5 ms; --snapshot-ms is accepted as a legacy alias under
---watch); --slo objectives (deadline_miss, flow_p95, flow_p99, fault_rate,
-quarantined, rejected) dump the span flight recorder on breach, and a
+virtual time, default 5 ms) with queue depth, flow, faults, and drift; --slo
+objectives (deadline_miss, flow_p95, flow_p99, fault_rate, quarantined,
+rejected) dump the span flight recorder on breach, and a
 --trace-out ending in .perfetto/.pftrace streams packets incrementally.
 
 serve --arrivals turns the trace into an open-arrival stream (seeded by --seed,
@@ -177,8 +181,39 @@ attempt overrunning its prediction by mult x (adaptively widened by observed
 drift) to the best other healthy device, first completion wins; --probation
 <backoff_ms[:successes]> probes quarantined devices with canary GEMMs and
 re-admits after the given consecutive successes (default 2); --retry-budget
-<tokens[:refill_per_sec]> bounds executor retries with a token bucket + circuit
+<tokens[:refill_per_sec]> bounds session retries with a token bucket + circuit
 breaker that fails fast to host during fault storms. All three default off.";
+
+/// Flags of the routine-call subcommands (`run`, `report`, `trace`).
+const ROUTINE_KEYS: &[&str] = &[
+    "testbed", "profile", "routine", "dims", "loc", "tile", "faults",
+];
+
+/// Flags of the serve-comparison subcommands (`serve`, `metrics`,
+/// `timeline`).
+const SERVE_KEYS: &[&str] = &[
+    "testbed",
+    "devices",
+    "trace",
+    "faults",
+    "policy",
+    "trace-out",
+    "arrivals",
+    "seed",
+    "queue-cap",
+    "shed-flow-ms",
+    "coalesce",
+    "prefetch",
+    "watch",
+    "window-ms",
+    "slo",
+    "ring",
+    "hedge",
+    "probation",
+    "retry-budget",
+];
+
+type Command = fn(&Args) -> Result<(), CliError>;
 
 fn run(argv: &[String]) -> Result<ExitCode, CliError> {
     let Some((cmd, rest)) = argv.split_first() else {
@@ -188,24 +223,32 @@ fn run(argv: &[String]) -> Result<ExitCode, CliError> {
         // `compare` is the one positional-taking command (two snapshot
         // paths) and the one command with a non-binary exit code.
         let (pos, args) = Args::parse_with_positionals(rest).map_err(CliError::Usage)?;
+        args.reject_unknown(&[&["threshold", "json"]])
+            .map_err(CliError::Usage)?;
         return cmd_compare(&pos, &args);
     }
+    // Each subcommand with the flags it accepts: anything else is a usage
+    // error, so a typo never silently runs the defaults.
+    let (command, keys): (Command, &[&[&str]]) = match cmd.as_str() {
+        "deploy" => (cmd_deploy, &[&["testbed", "out", "quick"]]),
+        "predict" => (
+            cmd_predict,
+            &[&["profile", "routine", "dims", "loc", "model"]],
+        ),
+        "run" => (cmd_run, &[ROUTINE_KEYS]),
+        "report" => (cmd_report, &[ROUTINE_KEYS, &["json", "format"]]),
+        "trace" => (cmd_trace, &[ROUTINE_KEYS, &["out", "format"]]),
+        "gantt" => (cmd_gantt, &[&["testbed", "dims", "tile", "width"]]),
+        "calib" => (cmd_calib, &[&["testbed", "quick", "json"]]),
+        "serve" => (cmd_serve, &[SERVE_KEYS]),
+        "metrics" => (cmd_metrics, &[SERVE_KEYS, &["format"]]),
+        "timeline" => (cmd_timeline, &[SERVE_KEYS, &["width", "color"]]),
+        "snapshot" => (cmd_snapshot, &[&["out", "testbed", "label"]]),
+        other => return Err(CliError::Usage(format!("unknown subcommand `{other}`"))),
+    };
     let args = Args::parse(rest).map_err(CliError::Usage)?;
-    match cmd.as_str() {
-        "deploy" => cmd_deploy(&args),
-        "predict" => cmd_predict(&args),
-        "run" => cmd_run(&args),
-        "report" => cmd_report(&args),
-        "trace" => cmd_trace(&args),
-        "gantt" => cmd_gantt(&args),
-        "calib" => cmd_calib(&args),
-        "serve" => cmd_serve(&args),
-        "metrics" => cmd_metrics(&args),
-        "timeline" => cmd_timeline(&args),
-        "snapshot" => cmd_snapshot(&args),
-        other => Err(CliError::Usage(format!("unknown subcommand `{other}`"))),
-    }
-    .map(|()| ExitCode::SUCCESS)
+    args.reject_unknown(keys).map_err(CliError::Usage)?;
+    command(&args).map(|()| ExitCode::SUCCESS)
 }
 
 /// `--key value` lookup, with a missing key reported as a usage error.
@@ -289,6 +332,21 @@ fn straggler_options(args: &Args, seed: u64) -> Result<DefenseConfigs, CliError>
         }
     };
     Ok((hedge, probation, retry_budget))
+}
+
+/// `--key <value>` as a strictly positive number; `None` when absent.
+fn positive<T: std::str::FromStr + PartialOrd + Default>(
+    args: &Args,
+    key: &str,
+) -> Result<Option<T>, CliError> {
+    args.get_opt(key)
+        .map(|v| {
+            v.parse::<T>()
+                .ok()
+                .filter(|x| *x > T::default())
+                .ok_or_else(|| CliError::Usage(format!("bad --{key} value `{v}`")))
+        })
+        .transpose()
 }
 
 /// Parses `--faults <spec>` (absent means no injected faults).
@@ -472,7 +530,8 @@ fn cmd_predict(args: &Args) -> Result<(), CliError> {
 
 /// Builds a timing-only pipeline from `--testbed`/`--profile`, runs the
 /// requested routine once, and returns the handle (trace + observer
-/// populated) with the call's report.
+/// populated) with the call's report. Operands marked `D` by `--loc` are
+/// uploaded before the call, so the trace holds the call alone.
 fn execute(args: &Args) -> Result<(Cocopelia, cocopelia_runtime::RoutineReport), CliError> {
     let tb = testbed(args)?;
     let profile = load_profile(args)?;
@@ -490,53 +549,88 @@ fn execute(args: &Args) -> Result<(Cocopelia, cocopelia_runtime::RoutineReport),
         profile,
     );
     let dims = spec.dims();
-    let ghost_mat = |r: usize, c: usize| MatOperand::<f64>::HostGhost { rows: r, cols: c };
-    let report = match spec.routine {
-        cocopelia_core::params::RoutineClass::Gemm => {
-            let (m, n, k) = (dims[0], dims[1], dims[2]);
-            GemmRequest::new(ghost_mat(m, k), ghost_mat(k, n), ghost_mat(m, n))
-                .alpha(1.0)
-                .beta(1.0)
-                .tile(choice)
-                .run(&mut ctx)?
-                .report
-        }
-        cocopelia_core::params::RoutineClass::Axpy => {
-            let n = dims[0];
-            AxpyRequest::new(
-                VecOperand::<f64>::HostGhost { len: n },
-                VecOperand::HostGhost { len: n },
-            )
-            .alpha(1.0)
-            .tile(choice)
-            .run(&mut ctx)?
-            .report
-        }
-        cocopelia_core::params::RoutineClass::Dot => {
-            let n = dims[0];
-            DotRequest::new(
-                VecOperand::<f64>::HostGhost { len: n },
-                VecOperand::HostGhost { len: n },
-            )
-            .tile(choice)
-            .run(&mut ctx)?
-            .report
-        }
-        cocopelia_core::params::RoutineClass::Gemv => {
+    let loc = |i: usize| spec.operands[i].loc;
+    let c = &mut ctx;
+    let req: RoutineRequest = match spec.routine {
+        RoutineClass::Gemm if spec.dtype == Dtype::F32 => gemm_request::<f32>(c, &spec, choice)?,
+        RoutineClass::Gemm => gemm_request::<f64>(c, &spec, choice)?,
+        RoutineClass::Axpy => AxpyRequest::<f64>::new(
+            vec_operand(c, loc(0), dims[0])?,
+            vec_operand(c, loc(1), dims[0])?,
+        )
+        .alpha(1.0)
+        .tile(choice)
+        .into(),
+        RoutineClass::Dot => DotRequest::<f64>::new(
+            vec_operand(c, loc(0), dims[0])?,
+            vec_operand(c, loc(1), dims[0])?,
+        )
+        .tile(choice)
+        .into(),
+        RoutineClass::Gemv => {
             let (m, n) = (dims[0], dims[1]);
-            GemvRequest::new(
-                ghost_mat(m, n),
-                VecOperand::HostGhost { len: n },
-                VecOperand::HostGhost { len: m },
+            GemvRequest::<f64>::new(
+                mat_operand(c, loc(0), m, n)?,
+                vec_operand(c, loc(1), n)?,
+                vec_operand(c, loc(2), m)?,
             )
             .alpha(1.0)
             .beta(1.0)
             .tile(choice)
-            .run(&mut ctx)?
-            .report
+            .into()
         }
     };
+    ctx.gpu_mut().clear_trace();
+    let report = ctx.submit(req)?;
     Ok((ctx, report))
+}
+
+/// A `rows × cols` ghost operand: on the host, or already uploaded to the
+/// device.
+fn mat_operand<T: SimScalar>(
+    ctx: &mut Cocopelia,
+    loc: Loc,
+    rows: usize,
+    cols: usize,
+) -> Result<MatOperand<T>, CliError> {
+    Ok(match loc {
+        Loc::Host => MatOperand::HostGhost { rows, cols },
+        Loc::Device => MatOperand::Device(ctx.upload_ghost_matrix(T::DTYPE, rows, cols)?),
+    })
+}
+
+/// A ghost vector operand of `len` elements; see [`mat_operand`].
+fn vec_operand<T: SimScalar>(
+    ctx: &mut Cocopelia,
+    loc: Loc,
+    len: usize,
+) -> Result<VecOperand<T>, CliError> {
+    Ok(match loc {
+        Loc::Host => VecOperand::HostGhost { len },
+        Loc::Device => VecOperand::Device(ctx.upload_ghost_vector(T::DTYPE, len)?),
+    })
+}
+
+/// The gemm request of `spec` in precision `T`.
+fn gemm_request<T: SimScalar>(
+    ctx: &mut Cocopelia,
+    spec: &ProblemSpec,
+    choice: TileChoice,
+) -> Result<RoutineRequest, CliError>
+where
+    GemmRequest<T>: Into<RoutineRequest>,
+{
+    let (m, n, k) = (spec.dims()[0], spec.dims()[1], spec.dims()[2]);
+    let loc = |i: usize| spec.operands[i].loc;
+    Ok(GemmRequest::<T>::new(
+        mat_operand(ctx, loc(0), m, k)?,
+        mat_operand(ctx, loc(1), k, n)?,
+        mat_operand(ctx, loc(2), m, n)?,
+    )
+    .alpha(1.0)
+    .beta(1.0)
+    .tile(choice)
+    .into())
 }
 
 fn cmd_run(args: &Args) -> Result<(), CliError> {
@@ -663,11 +757,9 @@ fn cmd_gantt(args: &Args) -> Result<(), CliError> {
     .beta(1.0)
     .tile(TileChoice::Fixed(tile))
     .run(&mut ctx)?;
-    println!("{}", ctx.gpu().trace().gantt(width));
-    print!(
-        "{}",
-        cocopelia_obs::gantt::engine_summary(ctx.gpu().trace().entries())
-    );
+    let entries = ctx.gpu().trace().entries();
+    println!("{}", cocopelia_obs::gantt::render(entries, width));
+    print!("{}", cocopelia_obs::gantt::engine_summary(entries));
     Ok(())
 }
 
@@ -691,9 +783,9 @@ fn cmd_calib(args: &Args) -> Result<(), CliError> {
     Ok(())
 }
 
-/// Shared front half of `serve` and `timeline`: parses the pool size,
-/// request trace, fault plan, policy, and snapshot interval, then runs
-/// the executor comparison (span tracing on when `trace_spans`).
+/// Shared front half of `serve`, `metrics`, and `timeline`: parses the
+/// pool size, request trace, fault plan, policy, and the session options,
+/// then runs the serve comparison (span tracing on when `trace_spans`).
 fn serve_comparison(
     args: &Args,
     trace_spans: bool,
@@ -723,20 +815,6 @@ fn serve_comparison(
         Some(p) => cocopelia_runtime::serve::SchedulePolicy::parse(&p).map_err(CliError::Usage)?,
         None => cocopelia_runtime::serve::SchedulePolicy::Fifo,
     };
-    let parse_ms = |key: &str| -> Result<Option<cocopelia_gpusim::SimTime>, CliError> {
-        args.get_opt(key)
-            .map(|ms| {
-                ms.parse::<f64>()
-                    .ok()
-                    .filter(|v| *v > 0.0)
-                    .map(|v| cocopelia_gpusim::SimTime::from_secs_f64(v * 1e-3))
-                    .ok_or_else(|| CliError::Usage(format!("bad --{key} value `{ms}`")))
-            })
-            .transpose()
-    };
-    let snapshot_interval = parse_ms("snapshot-ms")?;
-    let window = parse_ms("window-ms")?;
-    let watch = watch_options(args, window.or(snapshot_interval))?;
     let seed: u64 = args
         .get_opt("seed")
         .map(|s| {
@@ -749,42 +827,50 @@ fn serve_comparison(
         .get_opt("arrivals")
         .map(|s| cocopelia_xp::ArrivalSpec::parse(&s, seed).map_err(CliError::Usage))
         .transpose()?;
-    let queue_cap = args
-        .get_opt("queue-cap")
-        .map(|s| {
-            s.parse::<usize>()
-                .ok()
-                .filter(|n| *n > 0)
-                .ok_or_else(|| CliError::Usage(format!("bad --queue-cap value `{s}`")))
-        })
-        .transpose()?;
-    let shed_flow_secs = args
-        .get_opt("shed-flow-ms")
-        .map(|s| {
-            s.parse::<f64>()
-                .ok()
-                .filter(|v| *v > 0.0)
-                .map(|v| v * 1e-3)
-                .ok_or_else(|| CliError::Usage(format!("bad --shed-flow-ms value `{s}`")))
-        })
-        .transpose()?;
-    let coalesce = args.has_flag("coalesce");
-    let prefetch = args.has_flag("prefetch");
-    if arrivals.is_none() {
-        if queue_cap.is_some() {
-            return Err(CliError::Usage("--queue-cap requires --arrivals".into()));
-        }
-        if shed_flow_secs.is_some() {
-            return Err(CliError::Usage("--shed-flow-ms requires --arrivals".into()));
-        }
-        if coalesce {
-            return Err(CliError::Usage("--coalesce requires --arrivals".into()));
-        }
+    let mut options = ServeOptions::new().policy(policy);
+    if trace_spans {
+        options = options.tracing();
     }
-    let requests = trace.len();
+    if let Some(watch) = watch_options(args)? {
+        options = options
+            .telemetry(watch)
+            .watch_sink(|w| println!("{}", w.render()));
+    }
+    let open_only = |key: &str| CliError::Usage(format!("--{key} requires --arrivals"));
+    if let Some(cap) = positive(args, "queue-cap")? {
+        if arrivals.is_none() {
+            return Err(open_only("queue-cap"));
+        }
+        options = options.queue_cap(cap);
+    }
+    if let Some(ms) = positive::<f64>(args, "shed-flow-ms")? {
+        if arrivals.is_none() {
+            return Err(open_only("shed-flow-ms"));
+        }
+        options = options.shed_flow_secs(ms * 1e-3);
+    }
+    if args.has_flag("coalesce") {
+        if arrivals.is_none() {
+            return Err(open_only("coalesce"));
+        }
+        options = options.coalesce();
+    }
+    if args.has_flag("prefetch") {
+        options = options.prefetch();
+    }
+    let (hedge, probation, retry_budget) = straggler_options(args, seed)?;
+    if let Some(h) = hedge {
+        options = options.hedge(h);
+    }
+    if let Some(p) = probation {
+        options = options.probation(p);
+    }
+    if let Some(b) = retry_budget {
+        options = options.retry_budget(b);
+    }
     eprintln!(
-        "deploying and serving {requests} request(s) on {} device(s) under {policy}{}{} ...",
-        devices,
+        "deploying and serving {} request(s) on {devices} device(s) under {policy}{}{} ...",
+        trace.len(),
         if fault_spec.is_none() {
             ""
         } else {
@@ -796,54 +882,18 @@ fn serve_comparison(
             " with open arrivals"
         },
     );
-    let (hedge, probation, retry_budget) = straggler_options(args, seed)?;
-    let options = cocopelia_xp::ServeOptions {
-        policy,
-        trace: trace_spans,
-        // Under --watch the per-window lines replace the end-only
-        // interval snapshots (--window-ms becomes the window length).
-        snapshot_interval: if watch.is_some() {
-            None
-        } else {
-            snapshot_interval
-        },
-        watch,
-        arrivals,
-        queue_cap,
-        shed_flow_secs,
-        coalesce,
-        prefetch,
-        hedge,
-        probation,
-        retry_budget,
-        fault_plans: None,
-    };
-    let cmp = if options.watch.is_some() {
-        cocopelia_xp::run_serve_streaming(
-            &tb,
-            devices,
-            trace,
-            &fault_spec,
-            &options,
-            Box::new(|w| println!("{}", w.render())),
-        )
-    } else {
-        cocopelia_xp::run_serve_with_options(&tb, devices, trace, &fault_spec, &options)
-    }
-    .map_err(CliError::Data)?;
+    let plans = fault_spec.per_device(devices);
+    let cmp = cocopelia_xp::run_serve(&tb, &plans, trace, options, arrivals.as_ref())
+        .map_err(CliError::Data)?;
     Ok((cmp, fault_spec))
 }
 
 /// Builds the `--watch` telemetry config: `--window-ms` sets the window
-/// length (`--snapshot-ms` is accepted as a legacy alias under `--watch`),
-/// `--slo` the objectives, `--ring` the flight-recorder capacity, and a
-/// `--trace-out` with a Perfetto extension switches that export to
-/// incremental streaming. `--slo`/`--ring`/`--window-ms` without `--watch`
-/// is a usage error.
-fn watch_options(
-    args: &Args,
-    window: Option<cocopelia_gpusim::SimTime>,
-) -> Result<Option<cocopelia_runtime::serve::TelemetryConfig>, CliError> {
+/// length, `--slo` the objectives, `--ring` the flight-recorder capacity,
+/// and a `--trace-out` with a Perfetto extension switches that export to
+/// incremental streaming. `--slo`/`--ring`/`--window-ms` without
+/// `--watch` is a usage error.
+fn watch_options(args: &Args) -> Result<Option<TelemetryConfig>, CliError> {
     if !args.has_flag("watch") {
         for key in ["slo", "ring", "window-ms"] {
             if args.get_opt(key).is_some() {
@@ -852,19 +902,15 @@ fn watch_options(
         }
         return Ok(None);
     }
-    let mut cfg = cocopelia_runtime::serve::TelemetryConfig::default();
-    if let Some(window) = window {
-        cfg.window = window;
+    let mut cfg = TelemetryConfig::default();
+    if let Some(ms) = positive::<f64>(args, "window-ms")? {
+        cfg.window = cocopelia_gpusim::SimTime::from_secs_f64(ms * 1e-3);
     }
     if let Some(slos) = args.get_opt("slo") {
         cfg.slos = cocopelia_obs::SloSpec::parse_list(&slos).map_err(CliError::Usage)?;
     }
-    if let Some(ring) = args.get_opt("ring") {
-        cfg.recorder_cap = ring
-            .parse::<usize>()
-            .ok()
-            .filter(|n| *n > 0)
-            .ok_or_else(|| CliError::Usage(format!("bad --ring value `{ring}`")))?;
+    if let Some(ring) = positive(args, "ring")? {
+        cfg.recorder_cap = ring;
     }
     if let Some(path) = args.get_opt("trace-out") {
         if is_perfetto_path(&path) {
@@ -1167,6 +1213,22 @@ mod args_impl {
         pub fn has_flag(&self, key: &str) -> bool {
             self.flags.iter().any(|f| f == key)
         }
+
+        /// Fails naming a `--key` (the lexicographically first, so the
+        /// message is deterministic) that none of the `known` sets lists.
+        pub fn reject_unknown(&self, known: &[&[&str]]) -> Result<(), String> {
+            let is_known = |k: &str| known.iter().any(|set| set.contains(&k));
+            match self
+                .values
+                .keys()
+                .chain(&self.flags)
+                .filter(|k| !is_known(k))
+                .min()
+            {
+                Some(k) => Err(format!("unknown flag `--{k}`")),
+                None => Ok(()),
+            }
+        }
     }
 }
 
@@ -1384,6 +1446,65 @@ mod tests {
             CliError::Usage(msg) => assert!(msg.contains("sjf"), "{msg}"),
             other => panic!("expected usage error, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn every_subcommand_rejects_unknown_flags() {
+        for cmd in [
+            "deploy --testbed i --out p.json --quikc",
+            "predict --profile p.json --routine dgemm --dims 8 8 8 --modle dr",
+            "run --testbed i --profile p.json --routine dgemm --dims 8 8 8 --tiel 4",
+            "report --testbed i --profile p.json --routine dgemm --dims 8 8 8 --jsno r.json",
+            "trace --testbed i --profile p.json --routine ddot --dims 8 --out t.json --fromat jsonl",
+            "gantt --testbed i --dims 8 8 8 --tile 4 --widht 40",
+            "calib --testbed i --quik",
+            "serve --testbed i --polcy predictive",
+            "metrics --testbed i --fromat text",
+            "timeline --testbed i --colour",
+            "snapshot --out BENCH_x.json --lable x",
+            "compare a.json b.json --treshold 0.1",
+        ] {
+            match super::run(&argv(cmd)) {
+                Err(CliError::Usage(msg)) => assert!(msg.contains("unknown flag"), "`{cmd}`: {msg}"),
+                other => panic!("`{cmd}` must be a usage error, got {other:?}"),
+            }
+        }
+        // Periodic snapshots are telemetry windows, not a serve flag.
+        let err = super::run(&argv("serve --testbed i --snapshot-ms 5")).expect_err("removed");
+        assert!(matches!(err, CliError::Usage(msg) if msg.contains("--snapshot-ms")));
+    }
+
+    /// Runs a routine subcommand's pipeline against a profile with no exec
+    /// tables (fixed tiles need none) and returns the call's h2d bytes.
+    fn call_h2d_bytes(flags: &str) -> usize {
+        let dummy = cocopelia_core::profile::SystemProfile::new(
+            "cli-test",
+            cocopelia_core::transfer::TransferModel {
+                h2d: cocopelia_core::transfer::LatBw { t_l: 0.0, t_b: 0.0 },
+                d2h: cocopelia_core::transfer::LatBw { t_l: 0.0, t_b: 0.0 },
+                sl_h2d: 1.0,
+                sl_d2h: 1.0,
+            },
+        );
+        let path = std::env::temp_dir().join(format!("cocopelia-cli-{}.json", std::process::id()));
+        std::fs::write(&path, dummy.to_json().expect("serialises")).expect("writes");
+        let cmd = format!("--testbed i --profile {} {flags}", path.display());
+        let run = super::execute(&Args::parse(&argv(&cmd)).expect("parses"));
+        let _ = std::fs::remove_file(&path);
+        let (ctx, _) = run.expect("runs");
+        ctx.gpu()
+            .trace()
+            .bytes_moved(cocopelia_gpusim::EngineKind::CopyH2d)
+    }
+
+    #[test]
+    fn loc_and_precision_shape_the_call() {
+        let dgemm = "--routine dgemm --dims 1024 1024 1024 --tile 512";
+        let hhh = call_h2d_bytes(&format!("{dgemm} --loc HHH"));
+        let ddh = call_h2d_bytes(&format!("{dgemm} --loc DDH"));
+        assert!(ddh < hhh, "device-resident A and B: {ddh} vs {hhh} bytes");
+        let sgemm = call_h2d_bytes("--routine sgemm --dims 1024 1024 1024 --tile 512");
+        assert_eq!(2 * sgemm, hhh, "sgemm moves f32 operands");
     }
 
     #[test]

@@ -22,7 +22,7 @@
 //! ## Example: overlapped offload
 //!
 //! ```
-//! use cocopelia_gpusim::{testbed_i, CopyDesc, ExecMode, Gpu, KernelShape};
+//! use cocopelia_gpusim::{testbed_i, CopyDesc, EngineKind, ExecMode, Gpu, KernelShape};
 //! use cocopelia_hostblas::Dtype;
 //!
 //! # fn main() -> Result<(), cocopelia_gpusim::SimError> {
@@ -37,7 +37,11 @@
 //! gpu.memcpy_h2d_async(h2d, CopyDesc::contiguous(host, dev, 1 << 20))?;
 //! gpu.launch_kernel(exec, KernelShape::Gemm { dtype: Dtype::F64, m: 1024, n: 1024, k: 1024 }, None)?;
 //! gpu.synchronize()?;
-//! println!("{}", gpu.trace().gantt(60));
+//! // The copy hid under the kernel: the makespan is shorter than the
+//! // engines' summed busy time.
+//! let trace = gpu.trace();
+//! let busy = trace.engine_busy(EngineKind::CopyH2d) + trace.engine_busy(EngineKind::Compute);
+//! assert!(gpu.now() < busy);
 //! # Ok(())
 //! # }
 //! ```

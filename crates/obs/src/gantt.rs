@@ -1,23 +1,75 @@
 //! Text Gantt rendering of an execution trace — the pipeline anatomy of the
-//! paper's Figure 2, promoted from the `pipeline_gantt` example so every
-//! consumer (examples, CLI, reports) shares one renderer.
+//! paper's Figure 2 — and the cell painter it shares with the serve
+//! timeline ([`crate::timeline`]), so every consumer (examples, CLI,
+//! reports) draws engine rows the same way.
 
 use crate::overlap::OverlapStats;
 use cocopelia_gpusim::{EngineKind, TraceEntry};
 use std::fmt::Write as _;
 
-const ENGINES: [EngineKind; 3] = [
+/// The engine rows of every chart, top to bottom.
+pub(crate) const ENGINES: [EngineKind; 3] = [
     EngineKind::CopyH2d,
     EngineKind::Compute,
     EngineKind::CopyD2h,
 ];
 
-fn glyph(engine: EngineKind) -> char {
+/// Glyph of an engine's busy cells: h2d `>`, exec `#`, d2h `<`.
+pub(crate) fn engine_glyph(engine: EngineKind) -> char {
     match engine {
         EngineKind::CopyH2d => '>',
         EngineKind::Compute => '#',
         EngineKind::CopyD2h => '<',
     }
+}
+
+/// Priority of a glyph when several land in one cell: higher wins, so
+/// faults never vanish under bulk transfer glyphs.
+fn glyph_rank(g: char) -> u8 {
+    match g {
+        'Q' => 5,
+        '!' | '?' | 'x' => 4,
+        'H' | '~' => 3,
+        '#' => 2,
+        '>' | '<' | '.' => 1,
+        _ => 0,
+    }
+}
+
+/// Paints `glyph` over the columns of `row` covering `[start_ns, end_ns)`
+/// of an `extent_ns`-long time axis, keeping the higher-priority glyph
+/// per cell. Instants paint exactly one column. The one painter behind
+/// both the single-run chart and the serve timeline.
+pub(crate) fn paint(row: &mut [char], extent_ns: u64, start_ns: u64, end_ns: u64, glyph: char) {
+    let width = row.len();
+    if width == 0 || extent_ns == 0 {
+        return;
+    }
+    let scale = width as f64 / extent_ns as f64;
+    let a = ((start_ns as f64 * scale) as usize).min(width - 1);
+    let b = (((end_ns as f64) * scale).ceil() as usize).clamp(a + 1, width);
+    for cell in row.iter_mut().take(b).skip(a) {
+        if glyph_rank(glyph) >= glyph_rank(*cell) {
+            *cell = glyph;
+        }
+    }
+}
+
+/// One engine's row of `width` cells over the time axis
+/// `[t0_ns, t0_ns + extent_ns)`.
+pub(crate) fn engine_row(
+    entries: &[TraceEntry],
+    engine: EngineKind,
+    t0_ns: u64,
+    extent_ns: u64,
+    width: usize,
+) -> Vec<char> {
+    let mut row = vec![' '; width];
+    for e in entries.iter().filter(|e| e.engine == engine) {
+        let (start, end) = (e.start.as_nanos() - t0_ns, e.end.as_nanos() - t0_ns);
+        paint(&mut row, extent_ns, start, end, engine_glyph(engine));
+    }
+    row
 }
 
 /// Renders an ASCII Gantt chart over `entries`: one row per engine, `width`
@@ -31,7 +83,6 @@ pub fn render(entries: &[TraceEntry], width: usize) -> String {
         .min()
         .unwrap_or(0);
     let t_end = entries.iter().map(|e| e.end.as_nanos()).max().unwrap_or(0);
-    let span = (t_end - t_start).max(1) as f64;
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -41,15 +92,7 @@ pub fn render(entries: &[TraceEntry], width: usize) -> String {
         (t_end - t_start) as f64 / 1e6
     );
     for engine in ENGINES {
-        let g = glyph(engine);
-        let mut row = vec![' '; width];
-        for e in entries.iter().filter(|e| e.engine == engine) {
-            let a = ((e.start.as_nanos() - t_start) as f64 / span * width as f64) as usize;
-            let b = ((e.end.as_nanos() - t_start) as f64 / span * width as f64).ceil() as usize;
-            for cell in row.iter_mut().take(b.min(width)).skip(a.min(width)) {
-                *cell = g;
-            }
-        }
+        let row = engine_row(entries, engine, t_start, (t_end - t_start).max(1), width);
         let _ = writeln!(
             out,
             "{:>4} |{}|",

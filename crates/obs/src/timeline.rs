@@ -1,7 +1,7 @@
 //! Timetable-style per-device serve timeline.
 //!
 //! Renders a [`ServeTrace`] as device rows × virtual-time columns — the
-//! serve-level sibling of the single-run Gantt (`Trace::gantt`): one row
+//! serve-level sibling of the single-run Gantt ([`crate::gantt`]): one row
 //! per device engine (`h2d`/`exec`/`d2h`), one `events` row per device for
 //! the fault-tolerance detours (retry `!`, quarantine `Q`), a `queue` row
 //! showing waiting requests, and a `host` row when requests fell back to
@@ -15,8 +15,9 @@
 //! rarest wins (`Q` > `!`/`?`/`x` > `H`/`~` > engine work), so faults
 //! never vanish under bulk transfer glyphs.
 
+use crate::gantt::{engine_row, paint, ENGINES};
 use crate::span::{ServeTrace, SpanPhase};
-use cocopelia_gpusim::{EngineKind, SimTime};
+use cocopelia_gpusim::SimTime;
 use std::fmt::Write as _;
 
 /// Rendering options for [`render`].
@@ -34,44 +35,6 @@ impl Default for TimelineOptions {
             width: 96,
             color: false,
         }
-    }
-}
-
-/// Priority of a glyph when several land in one cell: higher wins.
-fn glyph_rank(g: char) -> u8 {
-    match g {
-        'Q' => 5,
-        '!' | '?' | 'x' => 4,
-        'H' | '~' => 3,
-        '#' => 2,
-        '>' | '<' => 1,
-        '.' => 1,
-        _ => 0,
-    }
-}
-
-/// Paints `glyph` over columns `[start_ns, end_ns)` of `row`, keeping the
-/// higher-priority glyph per cell. Instants paint exactly one column.
-fn paint(row: &mut [char], extent_ns: u64, start_ns: u64, end_ns: u64, glyph: char) {
-    let width = row.len();
-    if width == 0 || extent_ns == 0 {
-        return;
-    }
-    let scale = width as f64 / extent_ns as f64;
-    let a = ((start_ns as f64 * scale) as usize).min(width - 1);
-    let b = (((end_ns as f64) * scale).ceil() as usize).clamp(a + 1, width);
-    for cell in row.iter_mut().take(b).skip(a) {
-        if glyph_rank(glyph) >= glyph_rank(*cell) {
-            *cell = glyph;
-        }
-    }
-}
-
-fn engine_glyph(engine: EngineKind) -> char {
-    match engine {
-        EngineKind::CopyH2d => '>',
-        EngineKind::CopyD2h => '<',
-        EngineKind::Compute => '#',
     }
 }
 
@@ -133,21 +96,8 @@ pub fn render(trace: &ServeTrace, opts: &TimelineOptions) -> String {
             format!(" {} ", lane.name),
             width = width + 15
         );
-        for engine in [
-            EngineKind::CopyH2d,
-            EngineKind::Compute,
-            EngineKind::CopyD2h,
-        ] {
-            let mut row = vec![' '; width];
-            for e in lane.entries.iter().filter(|e| e.engine == engine) {
-                paint(
-                    &mut row,
-                    extent,
-                    e.start.as_nanos(),
-                    e.end.as_nanos(),
-                    engine_glyph(engine),
-                );
-            }
+        for engine in ENGINES {
+            let row = engine_row(&lane.entries, engine, 0, extent, width);
             let _ = writeln!(
                 out,
                 "{:>12} |{}|",
@@ -204,7 +154,7 @@ pub fn render(trace: &ServeTrace, opts: &TimelineOptions) -> String {
 mod tests {
     use super::*;
     use crate::span::{DeviceLane, SpanLog};
-    use cocopelia_gpusim::{StreamId, TraceEntry};
+    use cocopelia_gpusim::{EngineKind, StreamId, TraceEntry};
 
     fn entry(engine: EngineKind, start: u64, end: u64) -> TraceEntry {
         TraceEntry {

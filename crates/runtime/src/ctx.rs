@@ -544,21 +544,6 @@ impl Cocopelia {
         })
     }
 
-    /// Double-precision dot (BLAS `ddot`). See [`run_dot`](Self::run_dot).
-    ///
-    /// # Errors
-    ///
-    /// As for [`run_dot`](Self::run_dot).
-    #[deprecated(note = "use DotRequest::new(x, y).tile(choice).run(ctx)")]
-    pub fn ddot(
-        &mut self,
-        x: VecOperand<f64>,
-        y: VecOperand<f64>,
-        choice: TileChoice,
-    ) -> Result<DotResult, RuntimeError> {
-        self.run_dot(DotRequest::new(x, y).tile(choice))
-    }
-
     /// Executes a [`GemvRequest`]: `y ← α·A·x + β·y` with 3-way overlap
     /// (the extension routine).
     ///
@@ -667,168 +652,6 @@ impl Cocopelia {
             RoutineRequest::DotF64(r) => Ok(self.run_dot(r)?.report),
             RoutineRequest::GemvF64(r) => Ok(self.run_gemv(r)?.report),
         }
-    }
-
-    /// General matrix multiply `C ← α·A·B + β·C` with 3-way overlap.
-    ///
-    /// # Errors
-    ///
-    /// As for [`run_gemm`](Self::run_gemm).
-    #[deprecated(note = "use GemmRequest::new(a, b, c).alpha(..).beta(..).tile(choice).run(ctx)")]
-    pub fn gemm<T: SimScalar>(
-        &mut self,
-        alpha: f64,
-        a: MatOperand<T>,
-        b: MatOperand<T>,
-        beta: f64,
-        c: MatOperand<T>,
-        choice: TileChoice,
-    ) -> Result<GemmResult<T>, RuntimeError> {
-        self.run_gemm(
-            GemmRequest::new(a, b, c)
-                .alpha(alpha)
-                .beta(beta)
-                .tile(choice),
-        )
-    }
-
-    /// `y ← α·x + y` with 3-way overlap.
-    ///
-    /// # Errors
-    ///
-    /// As for [`run_axpy`](Self::run_axpy).
-    #[deprecated(note = "use AxpyRequest::new(x, y).alpha(..).tile(choice).run(ctx)")]
-    pub fn axpy<T: SimScalar>(
-        &mut self,
-        alpha: f64,
-        x: VecOperand<T>,
-        y: VecOperand<T>,
-        choice: TileChoice,
-    ) -> Result<VecResult<T>, RuntimeError> {
-        self.run_axpy(AxpyRequest::new(x, y).alpha(alpha).tile(choice))
-    }
-
-    /// Tiled reduction `result ← xᵀy` with 3-way overlap.
-    ///
-    /// # Errors
-    ///
-    /// As for [`run_dot`](Self::run_dot).
-    #[deprecated(note = "use DotRequest::new(x, y).tile(choice).run(ctx)")]
-    pub fn dot<T: SimScalar>(
-        &mut self,
-        x: VecOperand<T>,
-        y: VecOperand<T>,
-        choice: TileChoice,
-    ) -> Result<DotResult, RuntimeError> {
-        self.run_dot(DotRequest::new(x, y).tile(choice))
-    }
-
-    /// `y ← α·A·x + β·y` with 3-way overlap (the extension routine).
-    ///
-    /// # Errors
-    ///
-    /// As for [`run_gemv`](Self::run_gemv).
-    #[deprecated(note = "use GemvRequest::new(a, x, y).alpha(..).beta(..).tile(choice).run(ctx)")]
-    pub fn gemv<T: SimScalar>(
-        &mut self,
-        alpha: f64,
-        a: MatOperand<T>,
-        x: VecOperand<T>,
-        beta: f64,
-        y: VecOperand<T>,
-        choice: TileChoice,
-    ) -> Result<VecResult<T>, RuntimeError> {
-        self.run_gemv(
-            GemvRequest::new(a, x, y)
-                .alpha(alpha)
-                .beta(beta)
-                .tile(choice),
-        )
-    }
-
-    /// Double-precision gemm (BLAS `dgemm`). See [`run_gemm`](Self::run_gemm).
-    ///
-    /// # Errors
-    ///
-    /// As for [`run_gemm`](Self::run_gemm).
-    #[deprecated(note = "use GemmRequest::new(a, b, c).alpha(..).beta(..).tile(choice).run(ctx)")]
-    pub fn dgemm(
-        &mut self,
-        alpha: f64,
-        a: MatOperand<f64>,
-        b: MatOperand<f64>,
-        beta: f64,
-        c: MatOperand<f64>,
-        choice: TileChoice,
-    ) -> Result<GemmResult<f64>, RuntimeError> {
-        self.run_gemm(
-            GemmRequest::new(a, b, c)
-                .alpha(alpha)
-                .beta(beta)
-                .tile(choice),
-        )
-    }
-
-    /// Single-precision gemm (BLAS `sgemm`). See [`run_gemm`](Self::run_gemm).
-    ///
-    /// # Errors
-    ///
-    /// As for [`run_gemm`](Self::run_gemm).
-    #[deprecated(note = "use GemmRequest::new(a, b, c).alpha(..).beta(..).tile(choice).run(ctx)")]
-    pub fn sgemm(
-        &mut self,
-        alpha: f64,
-        a: MatOperand<f32>,
-        b: MatOperand<f32>,
-        beta: f64,
-        c: MatOperand<f32>,
-        choice: TileChoice,
-    ) -> Result<GemmResult<f32>, RuntimeError> {
-        self.run_gemm(
-            GemmRequest::new(a, b, c)
-                .alpha(alpha)
-                .beta(beta)
-                .tile(choice),
-        )
-    }
-
-    /// Double-precision axpy (BLAS `daxpy`). See [`run_axpy`](Self::run_axpy).
-    ///
-    /// # Errors
-    ///
-    /// As for [`run_axpy`](Self::run_axpy).
-    #[deprecated(note = "use AxpyRequest::new(x, y).alpha(..).tile(choice).run(ctx)")]
-    pub fn daxpy(
-        &mut self,
-        alpha: f64,
-        x: VecOperand<f64>,
-        y: VecOperand<f64>,
-        choice: TileChoice,
-    ) -> Result<VecResult<f64>, RuntimeError> {
-        self.run_axpy(AxpyRequest::new(x, y).alpha(alpha).tile(choice))
-    }
-
-    /// Double-precision gemv (BLAS `dgemv`). See [`run_gemv`](Self::run_gemv).
-    ///
-    /// # Errors
-    ///
-    /// As for [`run_gemv`](Self::run_gemv).
-    #[deprecated(note = "use GemvRequest::new(a, x, y).alpha(..).beta(..).tile(choice).run(ctx)")]
-    pub fn dgemv(
-        &mut self,
-        alpha: f64,
-        a: MatOperand<f64>,
-        x: VecOperand<f64>,
-        beta: f64,
-        y: VecOperand<f64>,
-        choice: TileChoice,
-    ) -> Result<VecResult<f64>, RuntimeError> {
-        self.run_gemv(
-            GemvRequest::new(a, x, y)
-                .alpha(alpha)
-                .beta(beta)
-                .tile(choice),
-        )
     }
 
     /// Copies a host matrix into device memory and returns a resident

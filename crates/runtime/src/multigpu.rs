@@ -67,9 +67,9 @@ impl MultiGpu {
     }
 
     /// Like [`MultiGpu::new`], but every device carries the given fault
-    /// plan, re-seeded per device (`faults.seed + i`) so the devices fail
-    /// independently. [`FaultSpec::none`] reproduces [`MultiGpu::new`]
-    /// bit-for-bit.
+    /// plan, re-seeded per device ([`FaultSpec::per_device`]) so the
+    /// devices fail independently. [`FaultSpec::none`] reproduces
+    /// [`MultiGpu::new`] bit-for-bit.
     ///
     /// # Panics
     ///
@@ -82,18 +82,7 @@ impl MultiGpu {
         profile: SystemProfile,
         faults: &FaultSpec,
     ) -> Self {
-        assert!(count > 0, "need at least one device");
-        let devices = (0..count)
-            .map(|i| {
-                let mut spec = faults.clone();
-                spec.seed = faults.seed.wrapping_add(i as u64);
-                Cocopelia::new(
-                    Gpu::with_faults(testbed.clone(), mode, seed.wrapping_add(i as u64), spec),
-                    profile.clone(),
-                )
-            })
-            .collect();
-        MultiGpu { devices }
+        Self::with_fault_plans(testbed, mode, seed, profile, &faults.per_device(count))
     }
 
     /// Like [`MultiGpu::with_faults`], but every device carries its *own*

@@ -1,6 +1,6 @@
 //! Typed routine-request builders: the single entry-point vocabulary shared
 //! by direct calls ([`Cocopelia::submit`](crate::Cocopelia::submit)) and the
-//! queued executor ([`serve::Executor`](crate::serve::Executor)).
+//! serving session ([`serve::ServeSession`](crate::serve::ServeSession)).
 //!
 //! A request names its operands either *inline* (a concrete
 //! [`MatOperand`]/[`VecOperand`] owned by the request) or *shared* (a

@@ -1,4 +1,4 @@
-//! The request-serving layer: a queued, admission-controlled executor that
+//! The request-serving layer: a queued, admission-controlled session that
 //! dispatches heterogeneous routine requests across a [`MultiGpu`] pool.
 //!
 //! The single-call library of §IV-C schedules one BLAS call at a time; a
@@ -25,7 +25,7 @@
 //!    cache, so a matrix uploaded for request *N* is not re-transferred
 //!    for request *N+1*.
 //!
-//! Each request terminates in exactly one [`RequestStatus`]. The executor
+//! Each request terminates in exactly one [`RequestStatus`]. The session
 //! is fault-tolerant: retryable faults
 //! ([`RuntimeError::fault_class`](crate::RuntimeError::fault_class)) are
 //! retried up to [`ExecutorConfig::max_retries`] times after reclaiming
@@ -51,18 +51,26 @@
 //!
 //! [`MultiGpu`]: crate::MultiGpu
 
-mod executor;
+//! [`ServeSession`] is the one serving type. Its concerns live in
+//! separate modules, each owning its state: admission (arrivals,
+//! backpressure, coalescing), dispatch (device choice, retries,
+//! quarantine), defense (hedging, probation, retry budget), prefetch, and
+//! the report types.
+
+mod admission;
+mod defense;
+mod dispatch;
+mod prefetch;
+mod report;
 mod residency;
 mod sched;
 mod session;
 mod telemetry;
 mod trace;
 
-pub use executor::{
-    Executor, ExecutorConfig, HedgeConfig, ProbationConfig, RequestOutcome, RequestStatus,
-    RetryBudgetConfig, ServeReport, ServeSnapshot, HEDGE_WARMUP,
-};
+pub use defense::{HedgeConfig, ProbationConfig, RetryBudgetConfig, HEDGE_WARMUP};
+pub use report::{RequestOutcome, RequestStatus, ServeReport};
 pub use residency::ResidencyCache;
 pub use sched::SchedulePolicy;
-pub use session::{ServeOptions, ServeSession};
+pub use session::{ExecutorConfig, ServeOptions, ServeSession};
 pub use telemetry::{TelemetryConfig, TelemetryReport, WatchWindow, FLOW_SECS_BOUNDS};

@@ -1,4 +1,4 @@
-//! Pluggable queue-scheduling policies for the serving [`Executor`].
+//! Pluggable queue-scheduling policies for the [`ServeSession`].
 //!
 //! The executor drains its queue through a [`SchedulePolicy`], which
 //! decides *which* queued request is dispatched next and (for the
@@ -33,7 +33,7 @@
 //! whenever the device profile can predict the request, so the three
 //! policies are comparable on the same misprediction accounting.
 //!
-//! [`Executor`]: crate::serve::Executor
+//! [`ServeSession`]: crate::serve::ServeSession
 
 use std::fmt;
 

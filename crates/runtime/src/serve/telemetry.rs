@@ -258,7 +258,7 @@ impl TelemetryReport {
     }
 }
 
-/// Executor-side snapshot of the loop state a telemetry tick needs.
+/// Session-side snapshot of the loop state a telemetry tick needs.
 pub(crate) struct TickState<'a> {
     /// Max device-clock advance since drain start, nanoseconds (the
     /// virtual "now" that rotates windows).

@@ -13,10 +13,7 @@ use cocopelia_deploy::{deploy, DeployConfig};
 use cocopelia_gpusim::{
     DegradeWindow, ExecMode, FaultSpec, NoiseSpec, SimScalar, SimTime, TestbedSpec,
 };
-use cocopelia_runtime::serve::{
-    ExecutorConfig, HedgeConfig, ProbationConfig, RetryBudgetConfig, SchedulePolicy,
-    ServeOptions as SessionOptions, ServeReport, ServeSession, TelemetryConfig, WatchWindow,
-};
+use cocopelia_runtime::serve::{ExecutorConfig, ServeOptions, ServeReport, ServeSession};
 use cocopelia_runtime::{
     AxpyRequest, Cocopelia, DotRequest, GemmRequest, GemvRequest, MatArg, MatOperand, MultiGpu,
     RoutineRequest, SharedMat, SharedVec, TileChoice, VecArg, VecOperand,
@@ -24,7 +21,7 @@ use cocopelia_runtime::{
 
 use crate::snapshot::SNAPSHOT_SEED;
 
-/// Executor run vs the sequential no-reuse replay of the same trace.
+/// Serve-session run vs the sequential no-reuse replay of the same trace.
 #[derive(Debug)]
 pub struct ServeComparison {
     /// The executor's aggregate report.
@@ -212,63 +209,6 @@ pub fn straggler_request_trace(count: usize) -> Vec<RoutineRequest> {
         .collect()
 }
 
-/// Deploys on a quiet copy of `testbed`, serves `trace` through a
-/// [`ServeSession`] over `devices` devices, and replays the same trace
-/// sequentially without sharing for the baseline.
-///
-/// # Errors
-///
-/// Propagates deployment and runtime failures as strings.
-pub fn run_serve(
-    testbed: &TestbedSpec,
-    devices: usize,
-    trace: Vec<RoutineRequest>,
-) -> Result<ServeComparison, String> {
-    run_serve_with_faults(testbed, devices, trace, &FaultSpec::none())
-}
-
-/// [`run_serve`] with a fault plan injected into every pool device (the
-/// sequential baseline stays faultless — it is the no-reuse *and* no-fault
-/// reference). [`FaultSpec::none`] reproduces [`run_serve`] bit-for-bit.
-///
-/// # Errors
-///
-/// Propagates deployment and runtime failures as strings.
-pub fn run_serve_with_faults(
-    testbed: &TestbedSpec,
-    devices: usize,
-    trace: Vec<RoutineRequest>,
-    faults: &FaultSpec,
-) -> Result<ServeComparison, String> {
-    run_serve_with_policy(testbed, devices, trace, faults, SchedulePolicy::Fifo)
-}
-
-/// [`run_serve_with_faults`] with an explicit queue-scheduling policy.
-/// [`SchedulePolicy::Fifo`] reproduces [`run_serve_with_faults`]
-/// bit-for-bit; the sequential baseline is policy-independent.
-///
-/// # Errors
-///
-/// Propagates deployment and runtime failures as strings.
-pub fn run_serve_with_policy(
-    testbed: &TestbedSpec,
-    devices: usize,
-    trace: Vec<RoutineRequest>,
-    faults: &FaultSpec,
-    policy: SchedulePolicy,
-) -> Result<ServeComparison, String> {
-    run_serve_with_options(
-        testbed,
-        devices,
-        trace,
-        faults,
-        &ServeOptions {
-            policy,
-            ..ServeOptions::default()
-        },
-    )
-}
-
 /// The shape of a seeded open-arrival process.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ArrivalKind {
@@ -397,116 +337,23 @@ fn unit_open(state: &mut u64) -> f64 {
     ((splitmix64(state) >> 11) as f64 + 0.5) / (1u64 << 53) as f64
 }
 
-/// Knobs beyond the fault plan for a serve run: scheduling policy,
-/// request-lifecycle tracing, periodic interval snapshots, streaming
-/// telemetry, and the open-arrival machinery (arrival process,
-/// backpressure, coalescing).
-#[derive(Debug, Clone)]
-pub struct ServeOptions {
-    /// Queue-scheduling policy ([`SchedulePolicy::Fifo`] by default).
-    pub policy: SchedulePolicy,
-    /// Collect a [`ServeTrace`](cocopelia_obs::ServeTrace) of the run
-    /// (request spans plus per-device engine lanes) into
-    /// [`ServeReport::trace`](cocopelia_runtime::serve::ServeReport).
-    pub trace: bool,
-    /// Emit a queue-depth/clock/drift snapshot every interval of virtual
-    /// time (`None` disables them).
-    pub snapshot_interval: Option<SimTime>,
-    /// Streaming telemetry (windowed metrics, SLOs, flight recorder,
-    /// incremental Perfetto export) — the `serve --watch` machinery.
-    /// `None` keeps the end-only report.
-    pub watch: Option<TelemetryConfig>,
-    /// Open arrivals: feed the trace through this generator instead of
-    /// queueing everything up front. `None` keeps the closed queue.
-    pub arrivals: Option<ArrivalSpec>,
-    /// Backpressure: shed arrivals that find the queue at this depth.
-    pub queue_cap: Option<usize>,
-    /// Load-shed watermark on predicted flow time, seconds.
-    pub shed_flow_secs: Option<f64>,
-    /// Coalesce identical-shape arrivals onto one execution.
-    pub coalesce: bool,
-    /// Prediction-guided cross-request operand prefetch on idle h2d
-    /// engines (see `ServeOptions::prefetch` in the runtime crate).
-    pub prefetch: bool,
-    /// Hedged re-dispatch of overrunning attempts.
-    pub hedge: Option<HedgeConfig>,
-    /// Quarantine probation (canary probes + re-admission).
-    pub probation: Option<ProbationConfig>,
-    /// Per-session retry budget and circuit breaker.
-    pub retry_budget: Option<RetryBudgetConfig>,
-    /// Per-device fault plans. When set, the pool gets one device per
-    /// plan (asymmetric scenarios like a single straggler) and the
-    /// `faults`/`devices` arguments of the `run_serve_*` entry points are
-    /// ignored for pool construction.
-    pub fault_plans: Option<Vec<FaultSpec>>,
-}
-
-impl Default for ServeOptions {
-    fn default() -> Self {
-        ServeOptions {
-            policy: SchedulePolicy::Fifo,
-            trace: false,
-            snapshot_interval: None,
-            watch: None,
-            arrivals: None,
-            queue_cap: None,
-            shed_flow_secs: None,
-            coalesce: false,
-            prefetch: false,
-            hedge: None,
-            probation: None,
-            retry_budget: None,
-            fault_plans: None,
-        }
-    }
-}
-
-/// [`run_serve_with_policy`] with the full option set — tracing and
-/// interval snapshots on top of the policy. The default options reproduce
-/// [`run_serve_with_policy`] bit-for-bit (tracing never perturbs virtual
-/// timing).
-///
-/// # Errors
-///
-/// Propagates deployment and runtime failures as strings.
-pub fn run_serve_with_options(
-    testbed: &TestbedSpec,
-    devices: usize,
-    trace: Vec<RoutineRequest>,
-    faults: &FaultSpec,
-    options: &ServeOptions,
-) -> Result<ServeComparison, String> {
-    serve_impl(testbed, devices, trace, faults, options, None)
-}
-
-/// [`run_serve_with_options`] with a live window sink: when
-/// [`ServeOptions::watch`] is set, `sink` receives each closed telemetry
-/// window as the drain crosses it — the `serve --watch` line printer.
+/// Deploys on a quiet copy of `testbed`, serves `trace` through a
+/// [`ServeSession`] configured by `options` over one device per fault plan
+/// in `plans` (see [`FaultSpec::per_device`] for a uniform pool), and
+/// replays the same trace sequentially on one fresh, faultless device
+/// without sharing for the baseline. With `arrivals` the trace is fed as
+/// open arrivals at the generated instants instead of queued up front.
 ///
 /// # Errors
 ///
 /// Propagates deployment, runtime, and telemetry-stream failures as
 /// strings.
-pub fn run_serve_streaming(
+pub fn run_serve(
     testbed: &TestbedSpec,
-    devices: usize,
+    plans: &[FaultSpec],
     trace: Vec<RoutineRequest>,
-    faults: &FaultSpec,
-    options: &ServeOptions,
-    sink: Box<dyn FnMut(&WatchWindow)>,
-) -> Result<ServeComparison, String> {
-    serve_impl(testbed, devices, trace, faults, options, Some(sink))
-}
-
-type WatchSink = Box<dyn FnMut(&WatchWindow)>;
-
-fn serve_impl(
-    testbed: &TestbedSpec,
-    devices: usize,
-    trace: Vec<RoutineRequest>,
-    faults: &FaultSpec,
-    options: &ServeOptions,
-    sink: Option<WatchSink>,
+    options: ServeOptions,
+    arrivals: Option<&ArrivalSpec>,
 ) -> Result<ServeComparison, String> {
     let mut tb = testbed.clone();
     tb.noise = NoiseSpec::NONE;
@@ -526,60 +373,16 @@ fn serve_impl(
         sequential_secs += report.elapsed.as_secs_f64();
     }
 
-    let pool = match &options.fault_plans {
-        Some(plans) => MultiGpu::with_fault_plans(
-            &tb,
-            ExecMode::TimingOnly,
-            SNAPSHOT_SEED,
-            deployed.profile,
-            plans,
-        ),
-        None => MultiGpu::with_faults(
-            &tb,
-            devices,
-            ExecMode::TimingOnly,
-            SNAPSHOT_SEED,
-            deployed.profile,
-            faults,
-        ),
-    };
-    let mut opts = SessionOptions::new().policy(options.policy);
-    if options.trace {
-        opts = opts.tracing();
-    }
-    if let Some(watch) = &options.watch {
-        opts = opts.telemetry(watch.clone());
-        if let Some(sink) = sink {
-            opts = opts.watch_sink(sink);
-        }
-    }
-    if let Some(interval) = options.snapshot_interval {
-        opts = opts.snapshot_interval(interval);
-    }
-    if let Some(cap) = options.queue_cap {
-        opts = opts.queue_cap(cap);
-    }
-    if let Some(secs) = options.shed_flow_secs {
-        opts = opts.shed_flow_secs(secs);
-    }
-    if options.coalesce {
-        opts = opts.coalesce();
-    }
-    if options.prefetch {
-        opts = opts.prefetch();
-    }
-    if let Some(h) = options.hedge {
-        opts = opts.hedge(h);
-    }
-    if let Some(p) = options.probation {
-        opts = opts.probation(p);
-    }
-    if let Some(b) = options.retry_budget {
-        opts = opts.retry_budget(b);
-    }
-    let mut session = ServeSession::with_options(pool, ExecutorConfig::default(), opts)
+    let pool = MultiGpu::with_fault_plans(
+        &tb,
+        ExecMode::TimingOnly,
+        SNAPSHOT_SEED,
+        deployed.profile,
+        plans,
+    );
+    let mut session = ServeSession::with_options(pool, ExecutorConfig::default(), options)
         .map_err(|e| format!("telemetry stream: {e}"))?;
-    match &options.arrivals {
+    match arrivals {
         Some(spec) => {
             // Open arrivals: the same trace, fed at generated virtual
             // instants; admission (shed/coalesce) runs as each lands.
@@ -598,7 +401,7 @@ fn serve_impl(
     Ok(ServeComparison {
         report,
         sequential_secs,
-        devices,
+        devices: plans.len(),
     })
 }
 

@@ -1,17 +1,14 @@
-//! Parity contract of the request-builder redesign: every deprecated
-//! positional wrapper must produce a report identical to the equivalent
-//! typed builder on a same-seed fresh device — bit-for-bit in virtual
-//! time, selection, and overlap accounting.
-
-#![allow(deprecated)] // the whole point of this file is legacy-vs-builder
+//! Contract of the request builders: defaults, type-erased submission,
+//! and auto selection agree with the explicit typed path on a same-seed
+//! fresh device — bit-for-bit in virtual time, selection, and overlap
+//! accounting.
 
 use cocopelia_core::profile::SystemProfile;
 use cocopelia_core::transfer::{LatBw, TransferModel};
 use cocopelia_deploy::{deploy, DeployConfig};
 use cocopelia_gpusim::{testbed_i, ExecMode, Gpu, NoiseSpec, TestbedSpec};
 use cocopelia_runtime::{
-    AxpyRequest, Cocopelia, DotRequest, GemmRequest, GemvRequest, MatOperand, RoutineReport,
-    RuntimeError, SharedMat, TileChoice, VecOperand,
+    Cocopelia, GemmRequest, MatOperand, RoutineReport, RuntimeError, SharedMat, TileChoice,
 };
 
 fn quiet() -> TestbedSpec {
@@ -45,134 +42,27 @@ fn ghost(rows: usize, cols: usize) -> MatOperand<f64> {
     MatOperand::HostGhost { rows, cols }
 }
 
-fn gvec(len: usize) -> VecOperand<f64> {
-    VecOperand::HostGhost { len }
-}
-
-#[test]
-fn dgemm_wrapper_matches_builder() {
-    let legacy = ctx(7)
-        .dgemm(
-            1.5,
-            ghost(1024, 1024),
-            ghost(1024, 1024),
-            0.5,
-            ghost(1024, 1024),
-            TileChoice::Fixed(256),
-        )
-        .expect("legacy runs")
-        .report;
-    let built = GemmRequest::new(ghost(1024, 1024), ghost(1024, 1024), ghost(1024, 1024))
-        .alpha(1.5)
-        .beta(0.5)
-        .tile(TileChoice::Fixed(256))
-        .run(&mut ctx(7))
-        .expect("builder runs")
-        .report;
-    assert_eq!(legacy, built);
-}
-
-#[test]
-fn sgemm_wrapper_matches_builder() {
-    let g = |r, c| MatOperand::<f32>::HostGhost { rows: r, cols: c };
-    let legacy = ctx(11)
-        .sgemm(
-            2.0,
-            g(512, 512),
-            g(512, 512),
-            1.0,
-            g(512, 512),
-            TileChoice::Fixed(128),
-        )
-        .expect("legacy runs")
-        .report;
-    let built = GemmRequest::new(g(512, 512), g(512, 512), g(512, 512))
-        .alpha(2.0)
-        .beta(1.0)
-        .tile(TileChoice::Fixed(128))
-        .run(&mut ctx(11))
-        .expect("builder runs")
-        .report;
-    assert_eq!(legacy, built);
-}
-
-#[test]
-fn daxpy_wrapper_matches_builder() {
-    let n = 1 << 21;
-    let legacy = ctx(13)
-        .daxpy(2.5, gvec(n), gvec(n), TileChoice::Fixed(1 << 19))
-        .expect("legacy runs")
-        .report;
-    let built = AxpyRequest::new(gvec(n), gvec(n))
-        .alpha(2.5)
-        .tile(TileChoice::Fixed(1 << 19))
-        .run(&mut ctx(13))
-        .expect("builder runs")
-        .report;
-    assert_eq!(legacy, built);
-}
-
-#[test]
-fn ddot_wrapper_matches_builder() {
-    let n = 1 << 21;
-    let legacy = ctx(17)
-        .ddot(gvec(n), gvec(n), TileChoice::Fixed(1 << 19))
-        .expect("legacy runs")
-        .report;
-    let built = DotRequest::new(gvec(n), gvec(n))
-        .tile(TileChoice::Fixed(1 << 19))
-        .run(&mut ctx(17))
-        .expect("builder runs")
-        .report;
-    assert_eq!(legacy, built);
-}
-
-#[test]
-fn dgemv_wrapper_matches_builder() {
-    let legacy = ctx(19)
-        .dgemv(
-            0.5,
-            ghost(2048, 1024),
-            gvec(1024),
-            2.0,
-            gvec(2048),
-            TileChoice::Fixed(512),
-        )
-        .expect("legacy runs")
-        .report;
-    let built = GemvRequest::new(ghost(2048, 1024), gvec(1024), gvec(2048))
-        .alpha(0.5)
-        .beta(2.0)
-        .tile(TileChoice::Fixed(512))
-        .run(&mut ctx(19))
-        .expect("builder runs")
-        .report;
-    assert_eq!(legacy, built);
-}
-
 #[test]
 fn builder_defaults_are_alpha_one_beta_zero() {
-    let legacy = ctx(23)
-        .dgemm(
-            1.0,
-            ghost(768, 768),
-            ghost(768, 768),
-            0.0,
-            ghost(768, 768),
-            TileChoice::Fixed(256),
-        )
-        .expect("legacy runs")
-        .report;
-    let built = GemmRequest::new(ghost(768, 768), ghost(768, 768), ghost(768, 768))
+    let request = || GemmRequest::new(ghost(768, 768), ghost(768, 768), ghost(768, 768));
+    let explicit = request()
+        .alpha(1.0)
+        .beta(0.0)
         .tile(TileChoice::Fixed(256))
         .run(&mut ctx(23))
-        .expect("builder runs")
+        .expect("explicit runs")
         .report;
-    assert_eq!(legacy, built);
+    let defaulted = request()
+        .tile(TileChoice::Fixed(256))
+        .run(&mut ctx(23))
+        .expect("defaults run")
+        .report;
+    assert_eq!(explicit, defaulted);
 }
 
 /// Auto selection goes through the full deploy → profile → model path;
-/// the wrapper and the builder must still agree report-for-report.
+/// the typed run and the type-erased submission must still agree
+/// report-for-report.
 #[test]
 fn auto_selection_parity_through_deployed_profile() {
     let tb = quiet();
@@ -186,27 +76,16 @@ fn auto_selection_parity_through_deployed_profile() {
             profile.clone(),
         )
     };
-
-    let legacy = fresh()
-        .dgemm(
-            1.0,
-            ghost(2048, 2048),
-            ghost(2048, 2048),
-            1.0,
-            ghost(2048, 2048),
-            TileChoice::Auto,
-        )
-        .expect("legacy runs")
-        .report;
-    let built = GemmRequest::new(ghost(2048, 2048), ghost(2048, 2048), ghost(2048, 2048))
-        .alpha(1.0)
-        .beta(1.0)
-        .tile(TileChoice::Auto)
-        .run(&mut fresh())
-        .expect("builder runs")
-        .report;
-    assert_eq!(legacy, built);
-    assert!(legacy.selection.is_some(), "auto actually selected");
+    let request = || {
+        GemmRequest::new(ghost(2048, 2048), ghost(2048, 2048), ghost(2048, 2048))
+            .alpha(1.0)
+            .beta(1.0)
+            .tile(TileChoice::Auto)
+    };
+    let typed = request().run(&mut fresh()).expect("typed runs").report;
+    let erased = fresh().submit(request()).expect("submit runs");
+    assert_eq!(typed, erased);
+    assert!(typed.selection.is_some(), "auto actually selected");
 }
 
 /// `submit` erases the request type but must not change its behaviour.

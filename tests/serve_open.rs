@@ -2,15 +2,14 @@
 //! `ServeSession` API. Seeded Poisson overload keeps the queue bounded
 //! through admission shedding and replays bit-identically; coalescing
 //! repeated identical-shape arrivals uploads strictly fewer h2d bytes
-//! and beats the non-coalesced makespan; and the closed-queue
-//! `Executor::run` wrapper stays bit-identical to a session drain.
+//! and beats the non-coalesced makespan; and closed-queue session drains
+//! replay bit-identically, faults included.
 
 use cocopelia_core::profile::SystemProfile;
 use cocopelia_core::transfer::{LatBw, TransferModel};
 use cocopelia_gpusim::{testbed_i, ExecMode, FaultSpec, NoiseSpec, SimTime, TestbedSpec};
 use cocopelia_runtime::serve::{
-    Executor, ExecutorConfig, RequestStatus, ServeOptions, ServeReport, ServeSession,
-    TelemetryConfig,
+    ExecutorConfig, RequestStatus, ServeOptions, ServeReport, ServeSession, TelemetryConfig,
 };
 use cocopelia_runtime::{GemmRequest, MatOperand, MultiGpu, RoutineRequest, SharedMat, TileChoice};
 use cocopelia_xp::ArrivalSpec;
@@ -212,42 +211,40 @@ fn coalescing_uploads_strictly_fewer_bytes_and_beats_the_baseline_makespan() {
     assert!((base.total_flops - 6.0 * one).abs() < 1.0);
 }
 
+/// The closed-queue mixed trace of the replay checks: shared-operand
+/// gemms every third request, private 1024/2048 gemms in between.
+fn mixed_trace(n: usize) -> Vec<RoutineRequest> {
+    (0..n)
+        .map(|i| {
+            if i % 3 == 0 {
+                shared_gemm()
+            } else {
+                ghost_gemm(if i % 2 == 0 { 2048 } else { 1024 }).into()
+            }
+        })
+        .collect()
+}
+
+/// Submits `trace` to a fresh session over `pool` and drains it once.
+fn drain_closed(pool: MultiGpu, trace: Vec<RoutineRequest>) -> ServeReport {
+    let mut session = ServeSession::new(pool, ExecutorConfig::default());
+    session.submit_all(trace);
+    session.drain()
+}
+
 #[test]
-fn deprecated_run_wrapper_is_bit_identical_to_a_session_drain() {
+fn session_drain_replays_bit_identically() {
     // Acceptance bar (c): the closed-queue path through the open-arrival
-    // event loop changes nothing — `Executor::run` (now a deprecated
-    // wrapper) and `ServeSession::drain` agree bit for bit.
-    let trace = |n: usize| -> Vec<RoutineRequest> {
-        (0..n)
-            .map(|i| {
-                if i % 3 == 0 {
-                    shared_gemm()
-                } else {
-                    ghost_gemm(if i % 2 == 0 { 2048 } else { 1024 }).into()
-                }
-            })
-            .collect()
-    };
-
-    let mut legacy = Executor::new(pool(2), ExecutorConfig::default());
-    for req in trace(8) {
-        legacy.submit(req);
-    }
-    #[allow(deprecated)]
-    let old = legacy.run();
-
-    let mut session = ServeSession::new(pool(2), ExecutorConfig::default());
-    for req in trace(8) {
-        session.submit(req);
-    }
-    let new = session.drain();
-
-    assert_eq!(old.makespan.as_nanos(), new.makespan.as_nanos());
-    assert_eq!(old.per_device_busy, new.per_device_busy);
-    assert_eq!(old.total_flops.to_bits(), new.total_flops.to_bits());
-    assert_eq!(old.host_flops.to_bits(), new.host_flops.to_bits());
-    assert_eq!(old.render(), new.render());
-    assert_eq!(old.peak_queue_depth, new.peak_queue_depth);
+    // event loop is deterministic — two drains of the same trace on
+    // same-seed pools agree bit for bit.
+    let a = drain_closed(pool(2), mixed_trace(8));
+    let b = drain_closed(pool(2), mixed_trace(8));
+    assert_eq!(a.makespan.as_nanos(), b.makespan.as_nanos());
+    assert_eq!(a.per_device_busy, b.per_device_busy);
+    assert_eq!(a.total_flops.to_bits(), b.total_flops.to_bits());
+    assert_eq!(a.host_flops.to_bits(), b.host_flops.to_bits());
+    assert_eq!(a.render(), b.render());
+    assert_eq!(a.peak_queue_depth, b.peak_queue_depth);
 }
 
 #[test]
@@ -298,13 +295,13 @@ fn rejections_land_in_windowed_counters_and_leak_no_buffers() {
 proptest! {
     #![proptest_config(ProptestConfig { cases: 8 })]
 
-    /// Property form of the bit-identity bar: whatever seeded fault
-    /// pressure the pool is under — transient links, flaky kernels, even
-    /// devices that die outright — the deprecated `Executor::run` wrapper
-    /// and a `ServeSession` drain of the same trace agree bit for bit on
-    /// timing, accounting, outcomes, and quarantine state.
+    /// Property form of the replay bar: whatever seeded fault pressure
+    /// the pool is under — transient links, flaky kernels, even devices
+    /// that die outright — two `ServeSession` drains of the same trace
+    /// under the same fault plan agree bit for bit on timing, accounting,
+    /// outcomes, and quarantine state.
     #[test]
-    fn deprecated_run_matches_session_drain_under_fault_plans(
+    fn session_drain_replays_bit_identically_under_fault_plans(
         seed in 0u64..1000,
         h2d in 0.0f64..0.3,
         kernel in 0.0f64..0.3,
@@ -330,38 +327,16 @@ proptest! {
                 &spec,
             )
         };
-        let trace = |n: usize| -> Vec<RoutineRequest> {
-            (0..n)
-                .map(|i| {
-                    if i % 3 == 0 {
-                        shared_gemm()
-                    } else {
-                        ghost_gemm(if i % 2 == 0 { 2048 } else { 1024 }).into()
-                    }
-                })
-                .collect()
-        };
+        let a = drain_closed(faulty(), mixed_trace(n));
+        let b = drain_closed(faulty(), mixed_trace(n));
 
-        let mut legacy = Executor::new(faulty(), ExecutorConfig::default());
-        for req in trace(n) {
-            legacy.submit(req);
-        }
-        #[allow(deprecated)]
-        let old = legacy.run();
-
-        let mut session = ServeSession::new(faulty(), ExecutorConfig::default());
-        for req in trace(n) {
-            session.submit(req);
-        }
-        let new = session.drain();
-
-        prop_assert_eq!(old.makespan.as_nanos(), new.makespan.as_nanos());
-        prop_assert_eq!(&old.per_device_busy, &new.per_device_busy);
-        prop_assert_eq!(old.total_flops.to_bits(), new.total_flops.to_bits());
-        prop_assert_eq!(old.host_flops.to_bits(), new.host_flops.to_bits());
-        prop_assert_eq!(&old.outcomes, &new.outcomes);
-        prop_assert_eq!(&old.quarantined, &new.quarantined);
-        prop_assert_eq!(old.render(), new.render());
-        prop_assert_eq!(old.peak_queue_depth, new.peak_queue_depth);
+        prop_assert_eq!(a.makespan.as_nanos(), b.makespan.as_nanos());
+        prop_assert_eq!(&a.per_device_busy, &b.per_device_busy);
+        prop_assert_eq!(a.total_flops.to_bits(), b.total_flops.to_bits());
+        prop_assert_eq!(a.host_flops.to_bits(), b.host_flops.to_bits());
+        prop_assert_eq!(&a.outcomes, &b.outcomes);
+        prop_assert_eq!(&a.quarantined, &b.quarantined);
+        prop_assert_eq!(a.render(), b.render());
+        prop_assert_eq!(a.peak_queue_depth, b.peak_queue_depth);
     }
 }

@@ -11,10 +11,9 @@ use cocopelia_gpusim::{
     testbed_i, DegradeWindow, ExecMode, FaultSpec, NoiseSpec, SimTime, TestbedSpec,
 };
 use cocopelia_obs::{check_spans, SpanPhase};
-use cocopelia_runtime::serve::ServeOptions as SessionOptions;
-use cocopelia_runtime::serve::{ExecutorConfig, RequestStatus, ServeSession};
+use cocopelia_runtime::serve::{ExecutorConfig, RequestStatus, ServeOptions, ServeSession};
 use cocopelia_runtime::{GemmRequest, MatOperand, MultiGpu, RoutineRequest, SharedMat, TileChoice};
-use cocopelia_xp::{run_serve_with_options, run_serve_with_policy, ServeOptions};
+use cocopelia_xp::run_serve;
 
 fn quiet() -> TestbedSpec {
     let mut tb = testbed_i();
@@ -74,22 +73,21 @@ fn skewed_trace(pairs: usize) -> Vec<RoutineRequest> {
 /// attempt's compute, and their targets claimed them as residency hits.
 #[test]
 fn prefetch_beats_fifo_makespan_via_measured_overlap() {
-    let base = ServeOptions {
-        trace: true,
-        ..ServeOptions::default()
-    };
-    let prefetching = ServeOptions {
-        prefetch: true,
-        ..base.clone()
-    };
-    let off = run_serve_with_options(&quiet(), 1, skewed_trace(4), &FaultSpec::none(), &base)
-        .expect("no-prefetch run");
-    let on = run_serve_with_options(
+    let plans = FaultSpec::none().per_device(1);
+    let off = run_serve(
         &quiet(),
-        1,
+        &plans,
         skewed_trace(4),
-        &FaultSpec::none(),
-        &prefetching,
+        ServeOptions::new().tracing(),
+        None,
+    )
+    .expect("no-prefetch run");
+    let on = run_serve(
+        &quiet(),
+        &plans,
+        skewed_trace(4),
+        ServeOptions::new().tracing().prefetch(),
+        None,
     )
     .expect("prefetch run");
 
@@ -145,25 +143,12 @@ fn prefetch_beats_fifo_makespan_via_measured_overlap() {
 #[test]
 fn prefetch_off_replays_bit_identical_to_unaware_path() {
     use cocopelia_runtime::serve::SchedulePolicy;
-    let unaware = run_serve_with_policy(
-        &quiet(),
-        2,
-        skewed_trace(3),
-        &FaultSpec::none(),
-        SchedulePolicy::Fifo,
-    )
-    .expect("prefetch-unaware run");
-    let off = run_serve_with_options(
-        &quiet(),
-        2,
-        skewed_trace(3),
-        &FaultSpec::none(),
-        &ServeOptions {
-            prefetch: false,
-            ..ServeOptions::default()
-        },
-    )
-    .expect("prefetch-off run");
+    let plans = FaultSpec::none().per_device(2);
+    let fifo = ServeOptions::new().policy(SchedulePolicy::Fifo);
+    let unaware =
+        run_serve(&quiet(), &plans, skewed_trace(3), fifo, None).expect("prefetch-unaware run");
+    let off = run_serve(&quiet(), &plans, skewed_trace(3), ServeOptions::new(), None)
+        .expect("prefetch-off run");
     assert_eq!(
         off.report.makespan.as_nanos(),
         unaware.report.makespan.as_nanos()
@@ -203,7 +188,7 @@ fn residency_warm_arrival_admitted_while_cold_twin_sheds() {
     };
 
     let pool = MultiGpu::new(&tb, 1, ExecMode::TimingOnly, 42, dummy_profile());
-    let opts = SessionOptions::new().shed_flow_secs(upload_secs / 2.0);
+    let opts = ServeOptions::new().shed_flow_secs(upload_secs / 2.0);
     let mut exec =
         ServeSession::with_options(pool, ExecutorConfig::default(), opts).expect("session");
 
@@ -290,7 +275,7 @@ fn prefetch_pins_release_and_nothing_leaks() {
     let deployed =
         cocopelia_deploy::deploy(&tb, &cocopelia_deploy::DeployConfig::quick()).expect("deploy");
     let pool = MultiGpu::new(&tb, 1, ExecMode::TimingOnly, 42, deployed.profile);
-    let opts = SessionOptions::new().tracing().prefetch();
+    let opts = ServeOptions::new().tracing().prefetch();
     let mut exec =
         ServeSession::with_options(pool, ExecutorConfig::default(), opts).expect("session");
     for req in skewed_trace(3) {

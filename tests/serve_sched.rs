@@ -9,7 +9,7 @@ use cocopelia_core::transfer::{LatBw, TransferModel};
 use cocopelia_gpusim::{testbed_i, ExecMode, FaultSpec, NoiseSpec, TestbedSpec};
 use cocopelia_runtime::serve::{ExecutorConfig, SchedulePolicy, ServeOptions, ServeSession};
 use cocopelia_runtime::{GemmRequest, MatOperand, MultiGpu, RoutineRequest, SharedMat, TileChoice};
-use cocopelia_xp::{deadline_request_trace, run_serve_with_policy, skewed_request_trace};
+use cocopelia_xp::{deadline_request_trace, run_serve, skewed_request_trace, ServeComparison};
 
 const MB: usize = 1 << 20;
 
@@ -191,6 +191,23 @@ fn edf_meets_a_deadline_fifo_misses() {
     assert!(edf.timed_out() < fifo.timed_out());
 }
 
+/// Serves `trace` under `policy` on `devices` fault-free Testbed I
+/// devices.
+fn serve(
+    devices: usize,
+    trace: Vec<RoutineRequest>,
+    policy: SchedulePolicy,
+) -> Result<ServeComparison, String> {
+    let plans = FaultSpec::none().per_device(devices);
+    run_serve(
+        &testbed_i(),
+        &plans,
+        trace,
+        ServeOptions::new().policy(policy),
+        None,
+    )
+}
+
 #[test]
 fn predictive_beats_fifo_on_the_skewed_trace() {
     // The acceptance bar: on the standard skewed trace (six small gemms
@@ -198,31 +215,10 @@ fn predictive_beats_fifo_on_the_skewed_trace() {
     // prediction-guided policy must achieve a strictly lower pool
     // makespan than FIFO, and every policy must export the
     // predicted-vs-actual histogram.
-    let tb = testbed_i();
-    let fifo = run_serve_with_policy(
-        &tb,
-        2,
-        skewed_request_trace(),
-        &FaultSpec::none(),
-        SchedulePolicy::Fifo,
-    )
-    .expect("fifo serve");
-    let edf = run_serve_with_policy(
-        &tb,
-        2,
-        skewed_request_trace(),
-        &FaultSpec::none(),
-        SchedulePolicy::Edf,
-    )
-    .expect("edf serve");
-    let pred = run_serve_with_policy(
-        &tb,
-        2,
-        skewed_request_trace(),
-        &FaultSpec::none(),
-        SchedulePolicy::Predictive,
-    )
-    .expect("predictive serve");
+    let fifo = serve(2, skewed_request_trace(), SchedulePolicy::Fifo).expect("fifo serve");
+    let edf = serve(2, skewed_request_trace(), SchedulePolicy::Edf).expect("edf serve");
+    let pred =
+        serve(2, skewed_request_trace(), SchedulePolicy::Predictive).expect("predictive serve");
     for cmp in [&fifo, &edf, &pred] {
         assert_eq!(cmp.report.completed(), 7);
         assert!(
@@ -258,23 +254,8 @@ fn predictive_beats_fifo_on_the_skewed_trace() {
 fn edf_beats_fifo_on_the_deadline_trace() {
     // The acceptance bar on a deployed profile: the standard deadline
     // trace served on one device misses under FIFO and meets under EDF.
-    let tb = testbed_i();
-    let fifo = run_serve_with_policy(
-        &tb,
-        1,
-        deadline_request_trace(),
-        &FaultSpec::none(),
-        SchedulePolicy::Fifo,
-    )
-    .expect("fifo serve");
-    let edf = run_serve_with_policy(
-        &tb,
-        1,
-        deadline_request_trace(),
-        &FaultSpec::none(),
-        SchedulePolicy::Edf,
-    )
-    .expect("edf serve");
+    let fifo = serve(1, deadline_request_trace(), SchedulePolicy::Fifo).expect("fifo serve");
+    let edf = serve(1, deadline_request_trace(), SchedulePolicy::Edf).expect("edf serve");
     assert_eq!(fifo.report.timed_out(), 1);
     assert_eq!(edf.report.timed_out(), 0);
     assert!(edf.report.timed_out() < fifo.report.timed_out());

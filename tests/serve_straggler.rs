@@ -11,15 +11,12 @@ use cocopelia_core::transfer::{LatBw, TransferModel};
 use cocopelia_deploy::{deploy, DeployConfig};
 use cocopelia_gpusim::{testbed_i, ExecMode, FaultSpec, NoiseSpec, SimTime, TestbedSpec};
 use cocopelia_obs::{check_spans, SpanPhase};
-use cocopelia_runtime::serve::ServeOptions as SessionOptions;
 use cocopelia_runtime::serve::{
-    ExecutorConfig, HedgeConfig, ProbationConfig, RequestStatus, RetryBudgetConfig, ServeReport,
-    ServeSession,
+    ExecutorConfig, HedgeConfig, ProbationConfig, RequestStatus, RetryBudgetConfig, ServeOptions,
+    ServeReport, ServeSession,
 };
 use cocopelia_runtime::{GemmRequest, MatOperand, MultiGpu, RoutineRequest, SharedMat, TileChoice};
-use cocopelia_xp::{
-    run_serve_with_options, straggler_fault_plans, straggler_request_trace, ServeOptions,
-};
+use cocopelia_xp::{run_serve, straggler_fault_plans, straggler_request_trace};
 
 fn quiet() -> TestbedSpec {
     let mut tb = testbed_i();
@@ -115,31 +112,13 @@ fn assert_no_leaks(exec: &ServeSession) {
 #[test]
 fn hedging_improves_tail_flow_with_identical_flops() {
     for seed in [11u64, 23, 47] {
-        let base = ServeOptions {
-            trace: true,
-            fault_plans: Some(straggler_fault_plans(2, seed, 0.01)),
-            ..ServeOptions::default()
+        let plans = straggler_fault_plans(2, seed, 0.01);
+        let run = |options: ServeOptions| {
+            run_serve(&quiet(), &plans, straggler_request_trace(16), options, None)
         };
-        let hedged = ServeOptions {
-            hedge: Some(HedgeConfig::default()),
-            ..base.clone()
-        };
-        let off = run_serve_with_options(
-            &quiet(),
-            2,
-            straggler_request_trace(16),
-            &FaultSpec::none(),
-            &base,
-        )
-        .expect("unhedged straggler run");
-        let on = run_serve_with_options(
-            &quiet(),
-            2,
-            straggler_request_trace(16),
-            &FaultSpec::none(),
-            &hedged,
-        )
-        .expect("hedged straggler run");
+        let off = run(ServeOptions::new().tracing()).expect("unhedged straggler run");
+        let on = run(ServeOptions::new().tracing().hedge(HedgeConfig::default()))
+            .expect("hedged straggler run");
 
         for cmp in [&off, &on] {
             assert_eq!(cmp.report.outcomes.len(), 16, "seed {seed}");
@@ -175,13 +154,13 @@ fn hedging_improves_tail_flow_with_identical_flops() {
 }
 
 /// Probation end to end: a device drained operationally (the maintenance
-/// workflow behind [`cocopelia_runtime::serve::Executor::force_quarantine`])
+/// workflow behind [`cocopelia_runtime::serve::ServeSession::force_quarantine`])
 /// is re-admitted after consecutive clean canary probes and then serves
 /// requests again.
 #[test]
 fn probation_readmits_a_drained_device_that_then_serves() {
     let pool = MultiGpu::new(&quiet(), 2, ExecMode::TimingOnly, 42, dummy_profile());
-    let opts = SessionOptions::new().tracing().probation(ProbationConfig {
+    let opts = ServeOptions::new().tracing().probation(ProbationConfig {
         backoff: SimTime::from_secs_f64(1e-3),
         successes: 2,
         max_rounds: 6,
@@ -197,7 +176,7 @@ fn probation_readmits_a_drained_device_that_then_serves() {
     let used: BTreeSet<_> = warm.outcomes.iter().filter_map(|o| o.device).collect();
     assert_eq!(used, BTreeSet::from([0, 1]), "warmup must use both devices");
 
-    exec.executor_mut().force_quarantine(0);
+    exec.force_quarantine(0);
     assert_eq!(exec.quarantined(), vec![0]);
 
     for _ in 0..10 {
@@ -238,7 +217,7 @@ fn probation_readmits_a_drained_device_that_then_serves() {
 fn force_quarantine_without_probation_is_permanent() {
     let pool = MultiGpu::new(&quiet(), 2, ExecMode::TimingOnly, 42, dummy_profile());
     let mut exec = ServeSession::new(pool, ExecutorConfig::default());
-    exec.executor_mut().force_quarantine(0);
+    exec.force_quarantine(0);
     for _ in 0..4 {
         exec.submit(shared_gemm(1024));
     }
@@ -261,7 +240,7 @@ fn retry_budget_breaker_fails_fast_under_fault_storm() {
     let plans = [storm.clone(), storm];
     let pool =
         MultiGpu::with_fault_plans(&quiet(), ExecMode::TimingOnly, 42, dummy_profile(), &plans);
-    let opts = SessionOptions::new().retry_budget(RetryBudgetConfig {
+    let opts = ServeOptions::new().retry_budget(RetryBudgetConfig {
         tokens: 1.0,
         refill_per_sec: 0.0,
         cooldown: SimTime::from_secs_f64(10.0),
@@ -304,9 +283,7 @@ fn device_lost_during_hedge_frees_everything() {
         ..FaultSpec::none()
     };
     let pool = MultiGpu::with_fault_plans(&tb, ExecMode::TimingOnly, 42, deployed.profile, &plans);
-    let opts = SessionOptions::new()
-        .tracing()
-        .hedge(HedgeConfig::default());
+    let opts = ServeOptions::new().tracing().hedge(HedgeConfig::default());
     let mut exec = ServeSession::with_options(pool, ExecutorConfig::default(), opts)
         .expect("session with hedging");
     for req in straggler_request_trace(4) {
@@ -343,22 +320,14 @@ fn device_lost_during_hedge_frees_everything() {
 #[test]
 fn replay_is_bit_identical_with_all_defenses_armed() {
     let run = || {
-        let options = ServeOptions {
-            trace: true,
-            fault_plans: Some(straggler_fault_plans(2, 11, 0.01)),
-            hedge: Some(HedgeConfig::default()),
-            probation: Some(ProbationConfig::default()),
-            retry_budget: Some(RetryBudgetConfig::default()),
-            ..ServeOptions::default()
-        };
-        run_serve_with_options(
-            &quiet(),
-            2,
-            straggler_request_trace(12),
-            &FaultSpec::none(),
-            &options,
-        )
-        .expect("defended straggler run")
+        let options = ServeOptions::new()
+            .tracing()
+            .hedge(HedgeConfig::default())
+            .probation(ProbationConfig::default())
+            .retry_budget(RetryBudgetConfig::default());
+        let plans = straggler_fault_plans(2, 11, 0.01);
+        run_serve(&quiet(), &plans, straggler_request_trace(12), options, None)
+            .expect("defended straggler run")
     };
     let a = run();
     let b = run();

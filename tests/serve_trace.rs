@@ -4,14 +4,13 @@
 //! expect, the timeline renders every device and the fault glyphs, and
 //! tracing never perturbs virtual timing.
 
-use cocopelia_gpusim::{testbed_i, FaultSpec};
+use cocopelia_gpusim::{testbed_i, FaultSpec, SimTime};
 use cocopelia_obs::perfetto::{decode::decode_trace, to_perfetto};
 use cocopelia_obs::timeline::{render, TimelineOptions};
 use cocopelia_obs::{check_spans, ServeTrace, SpanPhase};
-use cocopelia_runtime::serve::SchedulePolicy;
+use cocopelia_runtime::serve::{SchedulePolicy, ServeOptions, TelemetryConfig};
 use cocopelia_xp::{
-    chaos_fault_spec, chaos_request_trace, run_serve_with_options, standard_request_trace,
-    ServeComparison, ServeOptions,
+    chaos_fault_spec, chaos_request_trace, run_serve, standard_request_trace, ServeComparison,
 };
 
 fn traced_run(
@@ -20,14 +19,15 @@ fn traced_run(
     faults: &FaultSpec,
     policy: SchedulePolicy,
 ) -> ServeComparison {
-    let options = ServeOptions {
-        policy,
-        trace: true,
-        snapshot_interval: Some(cocopelia_gpusim::SimTime::from_secs_f64(5e-3)),
-        ..ServeOptions::default()
-    };
-    run_serve_with_options(&testbed_i(), devices, trace, faults, &options)
-        .expect("traced serve run succeeds")
+    let options = ServeOptions::new().policy(policy).tracing();
+    run_serve(
+        &testbed_i(),
+        &faults.per_device(devices),
+        trace,
+        options,
+        None,
+    )
+    .expect("traced serve run succeeds")
 }
 
 fn serve_trace(cmp: &ServeComparison) -> &ServeTrace {
@@ -211,23 +211,29 @@ fn chrome_export_gives_each_device_its_own_pid() {
 
 #[test]
 fn snapshots_are_monotone_and_tracing_leaves_timing_unchanged() {
-    let traced = traced_run(
-        2,
-        standard_request_trace(),
-        &FaultSpec::none(),
-        SchedulePolicy::Predictive,
-    );
-    let plain = run_serve_with_options(
+    // The periodic state samples of a drain are its telemetry windows:
+    // queue depth, drift, and flow every 5 ms of virtual time.
+    let plans = FaultSpec::none().per_device(2);
+    let predictive = || ServeOptions::new().policy(SchedulePolicy::Predictive);
+    let window = SimTime::from_secs_f64(5e-3);
+    let watched = predictive().telemetry(TelemetryConfig {
+        window,
+        ..TelemetryConfig::default()
+    });
+    let traced = run_serve(
         &testbed_i(),
-        2,
+        &plans,
         standard_request_trace(),
-        &FaultSpec::none(),
-        &ServeOptions {
-            policy: SchedulePolicy::Predictive,
-            trace: false,
-            snapshot_interval: None,
-            ..ServeOptions::default()
-        },
+        watched,
+        None,
+    )
+    .expect("traced run succeeds");
+    let plain = run_serve(
+        &testbed_i(),
+        &plans,
+        standard_request_trace(),
+        predictive(),
+        None,
     )
     .expect("untraced run succeeds");
     assert_eq!(
@@ -235,20 +241,18 @@ fn snapshots_are_monotone_and_tracing_leaves_timing_unchanged() {
         "tracing must not perturb virtual timing"
     );
     assert!(plain.report.trace.is_none());
-    assert!(plain.report.snapshots.is_empty());
+    assert!(plain.report.telemetry.is_none());
 
-    let snaps = &traced.report.snapshots;
-    assert!(!snaps.is_empty(), "5 ms interval on a >5 ms run snapshots");
-    for pair in snaps.windows(2) {
-        assert!(pair[0].at < pair[1].at, "snapshot times strictly increase");
-        for d in 0..2 {
-            assert!(
-                pair[0].device_clock[d] <= pair[1].device_clock[d],
-                "device {d} clock regressed between snapshots"
-            );
-        }
+    let windows = &traced.report.telemetry.as_ref().expect("armed").windows;
+    assert!(windows.len() > 1, "5 ms windows on a >5 ms run");
+    for pair in windows.windows(2) {
+        assert!(
+            pair[0].start < pair[1].start,
+            "window starts strictly increase"
+        );
+        assert!(pair[0].end <= pair[1].start, "windows do not overlap");
     }
-    let last = snaps.last().expect("non-empty");
-    assert!(last.at <= traced.report.makespan);
-    assert!(snaps[0].queue_depth <= standard_request_trace().len());
+    let last = windows.last().expect("non-empty");
+    assert!(last.end <= traced.report.makespan);
+    assert!(windows[0].queue_depth <= standard_request_trace().len());
 }

@@ -14,10 +14,10 @@ use cocopelia_gpusim::{testbed_i, ExecMode, FaultSpec, NoiseSpec, SimTime, Testb
 use cocopelia_obs::perfetto::decode::decode_trace;
 use cocopelia_obs::{Histogram, SloSpec, WindowedMetrics};
 use cocopelia_runtime::serve::{
-    ExecutorConfig, ServeOptions as SessionOptions, ServeReport, ServeSession, TelemetryConfig,
+    ExecutorConfig, ServeOptions, ServeReport, ServeSession, TelemetryConfig,
 };
 use cocopelia_runtime::{AxpyRequest, MultiGpu, RoutineRequest, SharedVec, TileChoice, VecOperand};
-use cocopelia_xp::{chaos_fault_spec, chaos_request_trace, run_serve_streaming, ServeOptions};
+use cocopelia_xp::{chaos_fault_spec, chaos_request_trace, run_serve};
 
 fn quiet() -> TestbedSpec {
     let mut tb = testbed_i();
@@ -71,7 +71,7 @@ fn run_watch_trace(
     breach_at: usize,
     telemetry: Option<TelemetryConfig>,
 ) -> ServeReport {
-    let mut opts = SessionOptions::new();
+    let mut opts = ServeOptions::new();
     if let Some(cfg) = telemetry {
         opts = opts.telemetry(cfg);
     }
@@ -256,7 +256,7 @@ fn quarantine_dump_contains_the_faulting_requests_span_chain() {
     let mut exec = ServeSession::with_options(
         pool(2, &spec),
         ExecutorConfig::default(),
-        SessionOptions::new().telemetry(TelemetryConfig::default()),
+        ServeOptions::new().telemetry(TelemetryConfig::default()),
     )
     .expect("no stream file needed");
     for req in watch_trace(2, usize::MAX) {
@@ -288,23 +288,15 @@ fn watch_line_stream_is_deterministic_across_runs() {
     let run = || {
         let lines: Rc<RefCell<Vec<String>>> = Rc::default();
         let sink_lines = Rc::clone(&lines);
-        let options = ServeOptions {
-            trace: false,
-            watch: Some(TelemetryConfig {
+        let options = ServeOptions::new()
+            .telemetry(TelemetryConfig {
                 window: SimTime::from_secs_f64(2e-3),
                 ..TelemetryConfig::default()
-            }),
-            ..ServeOptions::default()
-        };
-        let cmp = run_serve_streaming(
-            &testbed_i(),
-            2,
-            chaos_request_trace(2),
-            &chaos_fault_spec(5),
-            &options,
-            Box::new(move |w| sink_lines.borrow_mut().push(w.render())),
-        )
-        .expect("watched chaos run succeeds");
+            })
+            .watch_sink(move |w| sink_lines.borrow_mut().push(w.render()));
+        let plans = chaos_fault_spec(5).per_device(2);
+        let cmp = run_serve(&testbed_i(), &plans, chaos_request_trace(2), options, None)
+            .expect("watched chaos run succeeds");
         let lines = lines.borrow().clone();
         (lines, cmp.report.makespan.as_nanos())
     };
