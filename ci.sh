@@ -41,10 +41,14 @@ echo "== perf snapshot gate (vs BENCH_seed.json) =="
 target/release/cocopelia snapshot --out target/BENCH_ci.json --label ci
 target/release/cocopelia compare BENCH_seed.json target/BENCH_ci.json
 
-echo "== scheduling policy gate (predictive < fifo, edf deadline wins) =="
+echo "== scheduling policy gate (predictive < fifo, edf deadline wins, dispatch counts) =="
 # The policy-comparison acceptance tests: Predictive must strictly beat
 # FIFO's makespan on the skewed trace, EDF must meet the deadline FIFO
 # misses, and all three policies must export sched_predict_abs_err.
+# Exact count bounds on a Predictive drain of the 16-key, 4-shape small
+# mix: serve_predict_calls_total <= distinct shapes x devices (16), and
+# serve_dispatch_scores_total at 4n over n (n = 256 -> 1024) <= 5 — a
+# scan of every queued request at every pop would give ~16.
 cargo test --release -q -p cocopelia-xp --test serve_sched
 
 echo "== open-arrival gate (backpressure, coalescing, closed-queue replay) =="

@@ -1,5 +1,6 @@
 //! Instruction-count-style microbenches for the serving hot paths: the
-//! scheduler's dispatch decision, the open-arrival event loop (arrival
+//! scheduler's dispatch decision (FIFO, and the Predictive class-head
+//! scan over a 1,024-request queue), the open-arrival event loop (arrival
 //! admission interleaved with dispatch), the residency-cache admission
 //! probe,
 //! the span-record / Perfetto-export trace path, the streaming
@@ -13,12 +14,18 @@
 
 use iai_callgrind::{black_box, main};
 
+use cocopelia_core::exec_table::ExecTable;
+use cocopelia_core::params::RoutineClass;
 use cocopelia_core::profile::SystemProfile;
 use cocopelia_core::transfer::{LatBw, TransferModel};
 use cocopelia_gpusim::{testbed_i, EngineKind, ExecMode, NoiseSpec, SimTime, TraceEntry};
+use cocopelia_hostblas::Dtype;
 use cocopelia_obs::{DeviceLane, FlightRecorder, ServeTrace, SpanLog, SpanPhase, WindowedMetrics};
-use cocopelia_runtime::serve::{ExecutorConfig, HedgeConfig, ServeOptions, ServeSession};
+use cocopelia_runtime::serve::{
+    ExecutorConfig, HedgeConfig, SchedulePolicy, ServeOptions, ServeSession,
+};
 use cocopelia_runtime::{GemmRequest, MatOperand, MultiGpu, RoutineRequest, SharedMat, TileChoice};
+use cocopelia_xp::small_mix_request_trace;
 
 fn dummy_profile() -> SystemProfile {
     SystemProfile::new(
@@ -62,6 +69,44 @@ fn next_dispatch() {
     for _ in 0..64 {
         exec.submit(shared_gemm());
     }
+    while let Some(decision) = exec.next_dispatch_for_bench() {
+        black_box(decision);
+    }
+}
+
+/// A profile that predicts the small mix: the dummy transfer model plus
+/// a two-point kernel-time table for each f64 routine.
+fn mix_profile() -> SystemProfile {
+    let mut profile = dummy_profile();
+    for (routine, t) in [
+        (RoutineClass::Gemm, 256),
+        (RoutineClass::Axpy, 1 << 14),
+        (RoutineClass::Dot, 1 << 14),
+        (RoutineClass::Gemv, 256),
+    ] {
+        profile.insert_exec(
+            routine,
+            Dtype::F64,
+            ExecTable::new(vec![(t, 1e-5), (2 * t, 6e-5)]),
+        );
+    }
+    profile
+}
+
+/// The Predictive pick: pop 1,024 queued requests (4 shapes × 16 keys)
+/// through the class-head scan without executing them.
+#[inline(never)]
+fn next_dispatch_predictive() {
+    let mut tb = testbed_i();
+    tb.noise = NoiseSpec::NONE;
+    let pool = MultiGpu::new(&tb, 4, ExecMode::TimingOnly, 42, mix_profile());
+    let mut exec = ServeSession::with_options(
+        pool,
+        ExecutorConfig::default(),
+        ServeOptions::new().policy(SchedulePolicy::Predictive),
+    )
+    .expect("no telemetry stream");
+    exec.submit_all(small_mix_request_trace(1024));
     while let Some(decision) = exec.next_dispatch_for_bench() {
         black_box(decision);
     }
@@ -284,6 +329,7 @@ fn ring_record() {
 main!(
     callgrind_args = "--simulate-wb=no", "--simulate-hwpref=yes",
         "--I1=32768,8,64", "--D1=32768,8,64", "--LL=8388608,16,64";
-    functions = next_dispatch, next_event, residency_probe, span_record, perfetto_export,
-        window_rotate, ring_record, hedge_decision, probe_schedule, prefetch_decision
+    functions = next_dispatch, next_dispatch_predictive, next_event, residency_probe,
+        span_record, perfetto_export, window_rotate, ring_record, hedge_decision,
+        probe_schedule, prefetch_decision
 );

@@ -65,7 +65,7 @@ pub enum Loc {
 }
 
 /// One BLAS operand (a matrix or vector of Table I's data-specific rows).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct Operand {
     /// `S1_i`: rows (vector length for vectors).
     pub rows: usize,
@@ -137,7 +137,7 @@ impl Operand {
 }
 
 /// A fully-described BLAS problem instance (Table I).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct ProblemSpec {
     /// Routine family.
     pub routine: RoutineClass,

@@ -171,8 +171,14 @@ impl Registry {
     }
 
     /// Adds `v` to the counter `name`, creating it at zero if absent.
+    /// Only creation allocates the name.
     pub fn counter_add(&mut self, name: &str, v: u64) {
-        *self.counters.entry(name.to_owned()).or_insert(0) += v;
+        match self.counters.get_mut(name) {
+            Some(c) => *c += v,
+            None => {
+                self.counters.insert(name.to_owned(), v);
+            }
+        }
     }
 
     /// Current value of counter `name` (0 if never touched).
@@ -200,12 +206,16 @@ impl Registry {
     }
 
     /// Records `v` into histogram `name`, creating it with `bounds` if
-    /// absent (later calls ignore `bounds`).
+    /// absent (later calls ignore `bounds`). Only creation allocates.
     pub fn histogram_observe(&mut self, name: &str, bounds: &[f64], v: f64) {
-        self.histograms
-            .entry(name.to_owned())
-            .or_insert_with(|| Histogram::new(bounds.to_vec()))
-            .observe(v);
+        match self.histograms.get_mut(name) {
+            Some(h) => h.observe(v),
+            None => {
+                let mut h = Histogram::new(bounds.to_vec());
+                h.observe(v);
+                self.histograms.insert(name.to_owned(), h);
+            }
+        }
     }
 
     /// The histogram `name`, if any observation created it.

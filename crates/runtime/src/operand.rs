@@ -154,7 +154,7 @@ impl<T: cocopelia_hostblas::Scalar> VecOperand<T> {
 }
 
 /// How the tiling size is chosen for a call.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TileChoice {
     /// Run `CoCoPeLia_select` with the model §III-C recommends for the
     /// routine's BLAS level.

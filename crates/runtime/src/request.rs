@@ -667,11 +667,13 @@ impl RoutineRequest {
     }
 
     /// Residency-cache keys the request references, with each key's device
-    /// footprint in bytes, in operand order. The executor's dispatch cost
-    /// model charges a device the estimated upload time of the keys it is
+    /// footprint in bytes, in operand order and each key once (at its
+    /// first operand): a key named twice, as in `W·W` or `ddot X·X`, is
+    /// uploaded once by resolution. The executor's dispatch cost model
+    /// charges a device the estimated upload time of the keys it is
     /// missing.
     pub fn shared_footprints(&self) -> Vec<(&str, usize)> {
-        match self {
+        let mut out: Vec<(&str, usize)> = match self {
             RoutineRequest::GemmF64(r) => [&r.a, &r.b, &r.c]
                 .into_iter()
                 .filter_map(MatArg::shared_footprint)
@@ -697,7 +699,16 @@ impl RoutineRequest {
                 );
                 out
             }
+        };
+        let mut i = 1;
+        while i < out.len() {
+            if out[..i].iter().any(|&(k, _)| k == out[i].0) {
+                out.remove(i);
+            } else {
+                i += 1;
+            }
         }
+        out
     }
 
     /// Shape and dtype of every shared operand, in operand order — what

@@ -9,6 +9,7 @@ use crate::request::RoutineRequest;
 use cocopelia_gpusim::SimTime;
 use std::collections::{HashMap, VecDeque};
 
+use super::queue::{Queued, ShapeId};
 use super::session::QUEUE_DEPTH_BOUNDS;
 use super::{RequestOutcome, RequestStatus, ServeSession};
 
@@ -259,14 +260,21 @@ impl ServeSession {
             });
             return;
         }
-        self.enqueue(id, req);
+        let shape = self.intern_shape(&req);
+        self.enqueue(id, req, shape);
+    }
+
+    /// The shape of `req` in the session's prediction table, predicting
+    /// it on every device the first time it is seen.
+    fn intern_shape(&mut self, req: &RoutineRequest) -> ShapeId {
+        self.shapes.intern(req, &self.pool, &mut self.metrics)
     }
 
     /// Appends an admitted request to the dispatch queue. Depth is
     /// sampled on admission (and again at each dispatch), so burst
     /// arrivals are visible even if the queue drains quickly.
-    fn enqueue(&mut self, id: RequestId, req: RoutineRequest) {
-        self.queue.push_back((id, req));
+    fn enqueue(&mut self, id: RequestId, req: RoutineRequest, shape: ShapeId) {
+        self.queue.push(id, req, shape);
         self.peak_queue = self.peak_queue.max(self.queue.len());
         self.metrics.histogram_observe(
             "serve_queue_depth",
@@ -291,12 +299,10 @@ impl ServeSession {
 
     /// Pulls the next request per the active policy and releases its
     /// admission bookkeeping; the fourth element is its arrival offset.
-    pub(super) fn next_admitted(
-        &mut self,
-    ) -> Option<(RequestId, RoutineRequest, Option<usize>, u64)> {
-        let (id, req, preferred) = self.next_dispatch()?;
-        let arrival_ns = self.admission.on_dispatch(id, &req);
-        Some((id, req, preferred, arrival_ns))
+    pub(super) fn next_admitted(&mut self) -> Option<(Queued, Option<usize>, u64)> {
+        let (queued, preferred) = self.next_dispatch()?;
+        let arrival_ns = self.admission.on_dispatch(queued.id, &queued.req);
+        Some((queued, preferred, arrival_ns))
     }
 
     /// Open-arrival admission at the arrival instant, applying the
@@ -309,6 +315,7 @@ impl ServeSession {
         }
         let limit = self.admission_limit();
         let healthy = self.quarantined.iter().filter(|&&q| !q).count();
+        let shape = self.intern_shape(&req);
         let mut admission = std::mem::take(&mut self.admission);
         let verdict = admission.admit(
             id,
@@ -318,7 +325,7 @@ impl ServeSession {
             limit,
             self.cfg.admission_frac,
             healthy,
-            || self.service_estimate(&req),
+            || self.service_estimate(shape, &req),
         );
         self.admission = admission;
         match verdict {
@@ -350,7 +357,7 @@ impl ServeSession {
                     t.coalesce(id.0, leader.0, abs_ns);
                 }
             }
-            Verdict::Enqueue => self.enqueue(id, req),
+            Verdict::Enqueue => self.enqueue(id, req, shape),
         }
     }
 
@@ -364,14 +371,14 @@ impl ServeSession {
     /// pricing (the arrival would run on the host; the figure only feeds
     /// the watermark). Residency changes between admission and dispatch
     /// are reconciled through the recorded backlog contribution.
-    fn service_estimate(&self, req: &RoutineRequest) -> f64 {
+    fn service_estimate(&self, shape: ShapeId, req: &RoutineRequest) -> f64 {
         let mut best = f64::INFINITY;
         for d in 0..self.pool.device_count() {
             if self.quarantined[d] {
                 continue;
             }
-            let cost = self.upload_estimate(d, req)
-                + self.offload_estimate(d, req).map_or(0.0, |p| p.total);
+            let cost =
+                self.upload_estimate(d, req) + self.shapes.get(shape, d).map_or(0.0, |p| p.total);
             if cost < best {
                 best = cost;
             }
@@ -385,7 +392,7 @@ impl ServeSession {
             .iter()
             .map(|&(_, bytes)| h2d.ideal_time(bytes))
             .sum();
-        upload + self.offload_estimate(0, req).map_or(0.0, |p| p.total)
+        upload + self.shapes.get(shape, 0).map_or(0.0, |p| p.total)
     }
 
     /// Completes every follower coalesced onto `leader` at the leader's

@@ -12,6 +12,7 @@ use cocopelia_gpusim::SimTime;
 use cocopelia_obs::{DriftAccountant, DriftRecord, Registry};
 
 use super::dispatch::{device_lost, free_resident, Live};
+use super::queue::ShapeId;
 use super::ServeSession;
 
 /// Hedged re-dispatch configuration (see
@@ -418,6 +419,7 @@ impl ServeSession {
         &mut self,
         id: RequestId,
         req: &RoutineRequest,
+        shape: ShapeId,
         d: usize,
         attempt_no: u32,
         clock_before: SimTime,
@@ -468,7 +470,7 @@ impl ServeSession {
         let pre_b = self.live_buffers(b);
         self.advance_to(b, b_start_ns);
         let len_b_before = self.pool.devices()[b].gpu().trace().len();
-        let estimate_b = self.estimate(b, req);
+        let estimate_b = self.estimate(b, shape, req);
         self.metrics.counter_add("hedge_attempts_total", 1);
         let lanes = |s: &Self| {
             let hedge = s.pool.devices()[b]

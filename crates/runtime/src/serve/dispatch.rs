@@ -4,7 +4,7 @@
 
 use crate::ctx::{Cocopelia, RoutineReport};
 use crate::error::{FaultClass, RequestError, RequestId, RuntimeError};
-use crate::operand::{MatOperand, TileChoice, VecOperand};
+use crate::operand::{MatOperand, VecOperand};
 use crate::request::{MatArg, RoutineRequest, VecArg};
 use cocopelia_core::models::Prediction;
 use cocopelia_gpusim::{DevBufId, HostBufId, SimError, SimScalar, SimTime};
@@ -13,6 +13,7 @@ use cocopelia_obs::{DriftRecord, OverlapStats, Registry};
 use std::collections::BTreeSet;
 
 use super::defense::HedgeOutcome;
+use super::queue::{Queued, ShapeId};
 use super::residency::{ResidencyCache, ResidentHandle};
 use super::session::QUEUE_DEPTH_BOUNDS;
 use super::{RequestOutcome, RequestStatus, SchedulePolicy, ServeSession};
@@ -73,12 +74,23 @@ impl ServeSession {
     /// in effect at the device's current clock — a fault-plan
     /// [`DegradeWindow`](cocopelia_gpusim::DegradeWindow) covering the
     /// instant slows the estimate the same way it slows the copy, so
-    /// dispatch stops treating a degraded link as full-rate.
+    /// dispatch stops treating a degraded link as full-rate. A key the
+    /// request names twice is charged once.
     pub(super) fn upload_estimate(&self, d: usize, req: &RoutineRequest) -> f64 {
-        req.shared_footprints()
-            .iter()
+        self.upload_secs(d, req.shared_footprints())
+    }
+
+    /// [`upload_estimate`](Self::upload_estimate) of a `(key, bytes)`
+    /// footprint list.
+    pub(super) fn upload_secs<'k>(
+        &self,
+        d: usize,
+        footprints: impl IntoIterator<Item = (&'k str, usize)>,
+    ) -> f64 {
+        footprints
+            .into_iter()
             .filter(|(k, _)| !self.residency[d].contains(k))
-            .map(|&(_, bytes)| self.effective_h2d_secs(d, bytes))
+            .map(|(_, bytes)| self.effective_h2d_secs(d, bytes))
             .sum()
     }
 
@@ -105,27 +117,17 @@ impl ServeSession {
         h2d.latency_s + bytes as f64 / (h2d.bandwidth_bps * factor)
     }
 
-    /// Model-predicted offload time of `req` on device `d`, through the
-    /// device's deployed profile
-    /// ([`SystemProfile::predict_offload`](cocopelia_core::SystemProfile::predict_offload)).
-    /// `None` when the profile cannot predict this routine/precision — the
-    /// scheduler then degrades to the upload-plus-clock heuristic.
-    pub(super) fn offload_estimate(&self, d: usize, req: &RoutineRequest) -> Option<Prediction> {
-        let (model, tile) = match req.tile_choice() {
-            TileChoice::Fixed(t) => (None, Some(t)),
-            TileChoice::Model(m) => (Some(m), None),
-            TileChoice::Auto => (None, None),
-        };
-        self.pool.devices()[d]
-            .profile()
-            .predict_offload(&req.problem_spec(), model, tile)
-    }
-
-    /// Predicted cost of running `req` on device `d`: the model's offload
-    /// prediction plus the missing-operand upload, when the profile can
-    /// predict the request.
-    pub(super) fn estimate(&self, d: usize, req: &RoutineRequest) -> Option<(Prediction, f64)> {
-        self.offload_estimate(d, req)
+    /// Predicted cost of running `req`, of shape `shape`, on device `d`:
+    /// the model's offload prediction plus the missing-operand upload,
+    /// when the device's profile can predict the shape.
+    pub(super) fn estimate(
+        &self,
+        d: usize,
+        shape: ShapeId,
+        req: &RoutineRequest,
+    ) -> Option<(Prediction, f64)> {
+        self.shapes
+            .get(shape, d)
             .map(|p| (p, self.upload_estimate(d, req)))
     }
 
@@ -165,11 +167,12 @@ impl ServeSession {
     }
 
     /// The queue position the active [`SchedulePolicy`] would dispatch
-    /// next, plus the predictive policy's preferred device. Pure: this is
-    /// both the dispatch pick ([`next_dispatch`](Self::next_dispatch))
-    /// and the prefetcher's peek at the request that will run *after* the
-    /// one about to execute. `None` on an empty queue.
-    pub(super) fn select_index(&self) -> Option<(usize, Option<usize>)> {
+    /// next, plus the predictive policy's preferred device. This is both
+    /// the dispatch pick ([`next_dispatch`](Self::next_dispatch)) and the
+    /// prefetcher's peek at the request that will run *after* the one
+    /// about to execute; it changes nothing but the
+    /// `serve_dispatch_scores_total` counter. `None` on an empty queue.
+    pub(super) fn select_index(&mut self) -> Option<(usize, Option<usize>)> {
         if self.queue.is_empty() {
             return None;
         }
@@ -181,8 +184,8 @@ impl ServeSession {
                 // keeps submission order within equal deadlines.
                 let mut best = 0;
                 let mut best_dl = f64::INFINITY;
-                for (i, (_, r)) in self.queue.iter().enumerate() {
-                    let dl = r.deadline().unwrap_or(f64::INFINITY);
+                for (i, q) in self.queue.iter().enumerate() {
+                    let dl = q.req.deadline().unwrap_or(f64::INFINITY);
                     if dl < best_dl {
                         best = i;
                         best_dl = dl;
@@ -190,61 +193,72 @@ impl ServeSession {
                 }
                 (best, None)
             }
-            SchedulePolicy::Predictive => {
-                let healthy: Vec<usize> = (0..self.pool.device_count())
-                    .filter(|&i| !self.quarantined[i])
-                    .collect();
-                if healthy.is_empty() {
-                    // Whole pool quarantined: order is irrelevant, every
-                    // request degrades to the host.
-                    (0, None)
-                } else {
-                    // Cost each request at its best device (clock + missing
-                    // uploads + predicted offload time), then dispatch the
-                    // request with the *largest* best-completion first —
-                    // longest-processing-time list scheduling, so a
-                    // straggler never lands on an already-loaded device at
-                    // the tail of the trace. Strict comparisons keep
-                    // submission order and lowest device index on ties.
-                    let mut pick = 0;
-                    let mut pick_completion = f64::NEG_INFINITY;
-                    let mut pick_dev = None;
-                    for (i, (_, r)) in self.queue.iter().enumerate() {
-                        let mut best_dev = healthy[0];
-                        let mut best_c = f64::INFINITY;
-                        for &d in &healthy {
-                            let c = self.pool.devices()[d].gpu().now().as_secs_f64()
-                                + self.upload_estimate(d, r)
-                                + self.offload_estimate(d, r).map_or(0.0, |p| p.total);
-                            if c < best_c {
-                                best_dev = d;
-                                best_c = c;
-                            }
-                        }
-                        if best_c > pick_completion {
-                            pick = i;
-                            pick_completion = best_c;
-                            pick_dev = Some(best_dev);
-                        }
-                    }
-                    (pick, pick_dev)
+            SchedulePolicy::Predictive => self.predictive_pick(),
+        })
+    }
+
+    /// The Predictive pick: cost each request at its best healthy device
+    /// (clock + missing uploads + predicted offload time), then dispatch
+    /// the request with the *largest* best-completion first —
+    /// longest-processing-time list scheduling, so a straggler never lands
+    /// on an already-loaded device at the tail of the trace.
+    ///
+    /// Every member of a class costs the same, so only class heads are
+    /// scored: O(classes × healthy devices) per pick. Ties go to the
+    /// lowest device index and then to the oldest request, exactly as a
+    /// strict-`>` scan of every request in queue order would break them.
+    fn predictive_pick(&mut self) -> (usize, Option<usize>) {
+        let healthy: Vec<usize> = (0..self.pool.device_count())
+            .filter(|&i| !self.quarantined[i])
+            .collect();
+        if healthy.is_empty() {
+            // Whole pool quarantined: order is irrelevant, every request
+            // degrades to the host.
+            return (0, None);
+        }
+        let mut pick: Option<(u64, usize)> = None;
+        let mut pick_completion = f64::NEG_INFINITY;
+        let mut heads = 0u64;
+        for (class, seq) in self.queue.heads() {
+            heads += 1;
+            let mut best_dev = healthy[0];
+            let mut best_c = f64::INFINITY;
+            for &d in &healthy {
+                let footprints = class.footprints.iter().map(|(k, b)| (k.as_str(), *b));
+                let c = self.pool.devices()[d].gpu().now().as_secs_f64()
+                    + self.upload_secs(d, footprints)
+                    + self.shapes.get(class.shape, d).map_or(0.0, |p| p.total);
+                if c < best_c {
+                    best_dev = d;
+                    best_c = c;
                 }
             }
-        })
+            let older = pick.is_some_and(|(s, _)| seq < s);
+            if best_c > pick_completion || (best_c == pick_completion && older) {
+                pick = Some((seq, best_dev));
+                pick_completion = best_c;
+            }
+        }
+        self.metrics
+            .counter_add("serve_dispatch_scores_total", heads * healthy.len() as u64);
+        match pick {
+            Some((seq, dev)) => (self.queue.position(seq), Some(dev)),
+            None => (0, None),
+        }
     }
 
     /// Pulls the next request per the active [`SchedulePolicy`], sampling
     /// queue depth (the pulled request included) at dispatch time. The
-    /// third element is the predictive policy's preferred device, which
+    /// second element is the predictive policy's preferred device, which
     /// [`dispatch`](Self::dispatch) tries first.
-    pub(super) fn next_dispatch(&mut self) -> Option<(RequestId, RoutineRequest, Option<usize>)> {
+    pub(super) fn next_dispatch(&mut self) -> Option<(Queued, Option<usize>)> {
         let (idx, preferred) = self.select_index()?;
         self.metrics.histogram_observe(
             "serve_queue_depth",
             &QUEUE_DEPTH_BOUNDS,
             self.queue.len() as f64,
         );
-        self.queue.remove(idx).map(|(id, r)| (id, r, preferred))
+        self.queue.remove(idx).map(|q| (q, preferred))
     }
 
     /// Runs one admitted request through to a terminal status: dispatch to
@@ -263,12 +277,12 @@ impl ServeSession {
     /// arrival, not at drain start.
     pub(super) fn dispatch(
         &mut self,
-        id: RequestId,
-        req: RoutineRequest,
+        queued: Queued,
         mut preferred: Option<usize>,
         start: &[SimTime],
         arrival_ns: u64,
     ) -> RequestOutcome {
+        let Queued { id, req, shape, .. } = queued;
         let routine = req.routine();
         let budget = if self.cfg.retry_transient {
             self.cfg.max_retries
@@ -348,7 +362,7 @@ impl ServeSession {
             // actual clock advance under every policy, so FIFO/EDF runs
             // expose the same misprediction accounting the predictive
             // policy schedules by.
-            let estimate = self.estimate(d, &req);
+            let estimate = self.estimate(d, shape, &req);
             let clock_before = self.pool.devices()[d].gpu().now();
             let len_before = self.pool.devices()[d].gpu().trace().len();
             if !queued_recorded {
@@ -373,6 +387,7 @@ impl ServeSession {
                     let hedged = self.maybe_hedge(
                         id,
                         &req,
+                        shape,
                         d,
                         attempt_no,
                         clock_before,
@@ -544,11 +559,8 @@ impl ServeSession {
         let err = rec.abs_rel_err();
         self.metrics
             .histogram_observe("sched_predict_abs_err", &ABS_ERROR_BOUNDS, err);
-        self.metrics.histogram_observe(
-            &format!("sched_predict_abs_err_{}", self.policy.name()),
-            &ABS_ERROR_BOUNDS,
-            err,
-        );
+        self.metrics
+            .histogram_observe(self.policy.abs_err_metric(), &ABS_ERROR_BOUNDS, err);
         self.drift.record(rec);
     }
 

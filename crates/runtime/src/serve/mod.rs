@@ -12,10 +12,11 @@
 //!    instead of failing mid-flight.
 //! 2. **Policy-driven dispatch.** The queue drains through a pluggable
 //!    [`SchedulePolicy`]: FIFO (the default baseline), earliest-deadline-
-//!    first, or the prediction-guided policy that costs every request ×
-//!    device pair with the paper's models
-//!    ([`SystemProfile::predict_offload`](cocopelia_core::SystemProfile::predict_offload))
-//!    and schedules to minimise pool makespan. Whatever the policy, the
+//!    first, or the prediction-guided policy that costs queued requests
+//!    on each device with the paper's models
+//!    ([`SystemProfile::predict_offload`](cocopelia_core::SystemProfile::predict_offload),
+//!    run once per distinct shape and device) and schedules to minimise
+//!    pool makespan. Whatever the policy, the
 //!    device for a request is never worse than the bounded-affinity
 //!    ready-time heuristic: virtual clock plus the estimated upload time
 //!    of the request's shared operands the device is missing, so an idle
@@ -53,20 +54,24 @@
 
 //! [`ServeSession`] is the one serving type. Its concerns live in
 //! separate modules, each owning its state: admission (arrivals,
-//! backpressure, coalescing), dispatch (device choice, retries,
-//! quarantine), defense (hedging, probation, retry budget), prefetch, and
-//! the report types.
+//! backpressure, coalescing), the queue and its prediction table,
+//! dispatch (device choice, retries, quarantine), defense (hedging,
+//! probation, retry budget), prefetch, and the report types.
 
 mod admission;
 mod defense;
 mod dispatch;
 mod prefetch;
+mod queue;
 mod report;
 mod residency;
 mod sched;
 mod session;
 mod telemetry;
 mod trace;
+
+#[cfg(test)]
+mod pick_equivalence;
 
 pub use defense::{HedgeConfig, ProbationConfig, RetryBudgetConfig, HEDGE_WARMUP};
 pub use report::{RequestOutcome, RequestStatus, ServeReport};

@@ -73,8 +73,8 @@ impl ServeSession {
             return Vec::new();
         };
         let (target, specs) = {
-            let (tid, treq) = &self.queue[idx];
-            (tid.0, treq.shared_operand_specs())
+            let q = self.queue.get(idx).expect("selected index is queued");
+            (q.id.0, q.req.shared_operand_specs())
         };
         let mut seen: BTreeSet<String> = BTreeSet::new();
         let plan: Vec<SharedOperandSpec> = specs

@@ -15,7 +15,7 @@
 //!   (device clock at completion, queue wait included), reordering the
 //!   queue is exactly what saves a tight deadline stuck behind bulk work.
 //! * [`Predictive`](SchedulePolicy::Predictive) — the paper's models close
-//!   the loop: for every queued request × healthy device the executor
+//!   the loop: for a queued request on a healthy device the executor
 //!   estimates completion = device clock + h2d time of non-resident shared
 //!   operands + model-predicted offload time
 //!   ([`SystemProfile::predict_offload`](cocopelia_core::SystemProfile::predict_offload)
@@ -26,7 +26,11 @@
 //!   the end and stretching the pool makespan. Residency-affine requests
 //!   still batch naturally: a device holding the operands wins the
 //!   request's best-device slot until its backlog outweighs the re-upload
-//!   saving.
+//!   saving. The offload prediction comes from a per-device table filled
+//!   once per distinct request shape, and requests of one class (same
+//!   shape, same shared operands) cost the same, so a pick scores only
+//!   each class's oldest request: O(classes × healthy devices) per pick,
+//!   with ties broken exactly as a scan of the whole queue in order would.
 //!
 //! Every policy records predicted-vs-actual per dispatch (the
 //! `sched_predict_abs_err` histogram and the report's drift table)
@@ -46,8 +50,8 @@ pub enum SchedulePolicy {
     /// Earliest-deadline-first; deadline-less requests after, in
     /// submission order.
     Edf,
-    /// Model-predicted completion time over request × device pairs,
-    /// dispatched longest-first to minimise pool makespan.
+    /// Model-predicted completion time of each request at its best
+    /// device, dispatched longest-first to minimise pool makespan.
     Predictive,
 }
 
@@ -59,6 +63,16 @@ impl SchedulePolicy {
             SchedulePolicy::Fifo => "fifo",
             SchedulePolicy::Edf => "edf",
             SchedulePolicy::Predictive => "predictive",
+        }
+    }
+
+    /// Name of the policy's predicted-vs-actual histogram:
+    /// `sched_predict_abs_err_` followed by [`name`](Self::name).
+    pub(crate) fn abs_err_metric(self) -> &'static str {
+        match self {
+            SchedulePolicy::Fifo => "sched_predict_abs_err_fifo",
+            SchedulePolicy::Edf => "sched_predict_abs_err_edf",
+            SchedulePolicy::Predictive => "sched_predict_abs_err_predictive",
         }
     }
 
@@ -99,6 +113,10 @@ mod tests {
         ] {
             assert_eq!(SchedulePolicy::parse(p.name()), Ok(p));
             assert_eq!(p.to_string(), p.name());
+            assert_eq!(
+                p.abs_err_metric(),
+                format!("sched_predict_abs_err_{}", p.name())
+            );
         }
         assert_eq!(
             SchedulePolicy::parse("EDF"),

@@ -9,11 +9,11 @@ use crate::multigpu::MultiGpu;
 use crate::request::RoutineRequest;
 use cocopelia_gpusim::SimTime;
 use cocopelia_obs::{DeviceLane, DriftAccountant, DriftRecord, Registry};
-use std::collections::VecDeque;
 
 use super::admission::Admission;
 use super::defense::Defense;
 use super::prefetch::Prefetcher;
+use super::queue::{PredictionTable, Queued, SessionQueue};
 use super::residency::ResidencyCache;
 use super::telemetry::{Telemetry, TickState, WatchSink};
 use super::trace::ServeTracer;
@@ -273,7 +273,9 @@ pub struct ServeSession {
     pub(super) residency: Vec<ResidencyCache>,
     pub(super) cfg: ExecutorConfig,
     pub(super) policy: SchedulePolicy,
-    pub(super) queue: VecDeque<(RequestId, RoutineRequest)>,
+    pub(super) queue: SessionQueue,
+    /// Per-device offload prediction of every shape the session has seen.
+    pub(super) shapes: PredictionTable,
     pub(super) outcomes: Vec<RequestOutcome>,
     pub(super) metrics: Registry,
     pub(super) drift: DriftAccountant,
@@ -345,7 +347,8 @@ impl ServeSession {
             residency,
             cfg,
             policy: opts.policy,
-            queue: VecDeque::new(),
+            queue: SessionQueue::default(),
+            shapes: PredictionTable::default(),
             outcomes: Vec::new(),
             metrics: Registry::new(),
             drift: DriftAccountant::new(),
@@ -487,19 +490,20 @@ impl ServeSession {
                 .map(|d| d.gpu().trace().len())
                 .collect();
             let t0 = start.iter().map(|t| t.as_nanos()).min().unwrap_or(0);
-            let queued: Vec<u64> = self.queue.iter().map(|(id, _)| id.0).collect();
+            let queued: Vec<u64> = self.queue.iter().map(|q| q.id.0).collect();
             t.begin_drain(t0, &queued);
         }
         if let Some(tele) = self.telemetry.as_mut() {
             tele.begin(self.trace_mark.clone(), &self.metrics);
         }
-        while let Some((id, req, preferred, arrival_ns)) = self.next_event(&start) {
+        while let Some((queued, preferred, arrival_ns)) = self.next_event(&start) {
+            let id = queued.id;
             let quar_before = if self.telemetry.is_some() {
                 self.quarantined.clone()
             } else {
                 Vec::new()
             };
-            let outcome = self.dispatch(id, req, preferred, &start, arrival_ns);
+            let outcome = self.dispatch(queued, preferred, &start, arrival_ns);
             self.record(outcome, &start, &quar_before);
             if self.admission.has_followers(id) {
                 let leader = self.outcomes.last().expect("just pushed").clone();
@@ -577,10 +581,7 @@ impl ServeSession {
     /// plus the request's arrival offset (ns past drain start; zero for
     /// closed-queue submissions), or `None` when both queue and arrivals
     /// are exhausted.
-    fn next_event(
-        &mut self,
-        start: &[SimTime],
-    ) -> Option<(RequestId, RoutineRequest, Option<usize>, u64)> {
+    fn next_event(&mut self, start: &[SimTime]) -> Option<(Queued, Option<usize>, u64)> {
         loop {
             let now_ns = self.elapsed_since(start).as_nanos();
             self.admit_due(now_ns, start);
@@ -751,7 +752,7 @@ impl ServeSession {
     pub fn next_dispatch_for_bench(
         &mut self,
     ) -> Option<(RequestId, RoutineRequest, Option<usize>)> {
-        self.next_dispatch()
+        self.next_dispatch().map(|(q, pref)| (q.id, q.req, pref))
     }
 
     /// One open-arrival event step (due-arrival admission plus dispatch
@@ -760,7 +761,7 @@ impl ServeSession {
     pub fn next_event_for_bench(&mut self) -> Option<(RequestId, RoutineRequest, Option<usize>)> {
         let start: Vec<SimTime> = self.pool.devices().iter().map(|d| d.gpu().now()).collect();
         self.next_event(&start)
-            .map(|(id, req, pref, _)| (id, req, pref))
+            .map(|(q, pref, _)| (q.id, q.req, pref))
     }
 
     /// The hedge-overrun decision for one attempt, exposed for the

@@ -26,8 +26,8 @@ pub use chaos::{chaos_fault_spec, chaos_request_trace};
 pub use runner::{AxpyLib, GemmLib, Lab, RunOut};
 pub use serve::{
     deadline_request_trace, parse_request_trace, run_serve, skewed_request_trace,
-    standard_request_trace, straggler_fault_plans, straggler_request_trace, ArrivalKind,
-    ArrivalSpec, ServeComparison,
+    small_mix_request_trace, standard_request_trace, straggler_fault_plans,
+    straggler_request_trace, ArrivalKind, ArrivalSpec, ServeComparison,
 };
 pub use sets::{AxpyProblem, GemmProblem, Scale};
 pub use snapshot::{collect_snapshot, standard_sweep, SweepPoint, SNAPSHOT_SEED};

@@ -130,6 +130,52 @@ pub fn skewed_request_trace() -> Vec<RoutineRequest> {
     trace
 }
 
+/// The small serving mix: `n` requests cycling dgemm 512³ at T=256,
+/// daxpy 65536, dgemv 512² and ddot 65536, the `i`-th on shared-operand
+/// key `(i / 4) % 16`. That is 4 shapes and 64 dispatch classes however
+/// large `n` grows, so dispatch work can be measured against queue
+/// length alone.
+pub fn small_mix_request_trace(n: usize) -> Vec<RoutineRequest> {
+    let ghost_v = |len| VecOperand::HostGhost { len };
+    (0..n)
+        .map(|i| {
+            let k = (i / 4) % 16;
+            match i % 4 {
+                0 => GemmRequest::<f64>::new(
+                    SharedMat::new(format!("A{k}"), 512, 512),
+                    SharedMat::new(format!("B{k}"), 512, 512),
+                    MatOperand::HostGhost {
+                        rows: 512,
+                        cols: 512,
+                    },
+                )
+                .alpha(1.0)
+                .beta(1.0)
+                .tile(TileChoice::Fixed(256))
+                .into(),
+                1 => {
+                    AxpyRequest::<f64>::new(SharedVec::new(format!("X{k}"), 65536), ghost_v(65536))
+                        .alpha(1.0)
+                        .into()
+                }
+                2 => GemvRequest::<f64>::new(
+                    SharedMat::new(format!("A{k}"), 512, 512),
+                    ghost_v(512),
+                    ghost_v(512),
+                )
+                .alpha(1.0)
+                .beta(1.0)
+                .into(),
+                _ => DotRequest::<f64>::new(
+                    SharedVec::new(format!("X{k}"), 65536),
+                    SharedVec::new(format!("Y{k}"), 65536),
+                )
+                .into(),
+            }
+        })
+        .collect()
+}
+
 /// The standard *deadline* trace: a large deadline-less dgemm submitted
 /// first, then a small dgemm whose 25 ms flow-time budget is comfortable
 /// on its own (~10 ms on Testbed I) but blown when it queues behind the

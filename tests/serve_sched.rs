@@ -2,14 +2,24 @@
 //! device/host flops split, queue-depth sampling, self-multiply residency,
 //! and the acceptance bars — `Predictive` strictly beats `Fifo` on the
 //! standard skewed trace, `Edf` strictly beats `Fifo` on the deadline
-//! trace, and every policy exports `sched_predict_abs_err`.
+//! trace, every policy exports `sched_predict_abs_err`, and Predictive
+//! dispatch work stays within exact count bounds.
 
+use cocopelia_core::exec_table::ExecTable;
+use cocopelia_core::params::RoutineClass;
 use cocopelia_core::profile::SystemProfile;
 use cocopelia_core::transfer::{LatBw, TransferModel};
+use cocopelia_deploy::{deploy, DeployConfig};
 use cocopelia_gpusim::{testbed_i, ExecMode, FaultSpec, NoiseSpec, TestbedSpec};
-use cocopelia_runtime::serve::{ExecutorConfig, SchedulePolicy, ServeOptions, ServeSession};
+use cocopelia_hostblas::Dtype;
+use cocopelia_runtime::serve::{
+    ExecutorConfig, SchedulePolicy, ServeOptions, ServeReport, ServeSession,
+};
 use cocopelia_runtime::{GemmRequest, MatOperand, MultiGpu, RoutineRequest, SharedMat, TileChoice};
-use cocopelia_xp::{deadline_request_trace, run_serve, skewed_request_trace, ServeComparison};
+use cocopelia_xp::{
+    deadline_request_trace, run_serve, skewed_request_trace, small_mix_request_trace,
+    ServeComparison,
+};
 
 const MB: usize = 1 << 20;
 
@@ -136,15 +146,36 @@ fn queue_depth_is_sampled_at_submit_and_dispatch() {
 fn self_multiply_shares_one_cached_upload() {
     // W·W names the same key for `a` and `b`: one upload, one hit, one
     // cache entry — the duplicate insert is rejected, not double-counted.
-    let mut exec = ServeSession::new(pool(1), ExecutorConfig::default());
-    let w = || SharedMat::new("W", 1024, 1024);
-    exec.submit(
-        GemmRequest::<f64>::new(w(), w(), ghost(1024))
-            .alpha(1.0)
-            .beta(1.0)
-            .tile(TileChoice::Fixed(512)),
+    // The profile can predict dgemm, so the dispatch estimate is recorded
+    // as drift: it must charge W's upload once, as resolution performs it.
+    let mut profile = dummy_profile();
+    profile.insert_exec(
+        RoutineClass::Gemm,
+        Dtype::F64,
+        ExecTable::new(vec![(512, 1e-3)]),
     );
+    let pool = MultiGpu::new(&quiet(), 1, ExecMode::TimingOnly, 42, profile.clone());
+    let mut exec = ServeSession::new(pool, ExecutorConfig::default());
+    let w = || SharedMat::new("W", 1024, 1024);
+    let req: RoutineRequest = GemmRequest::<f64>::new(w(), w(), ghost(1024))
+        .alpha(1.0)
+        .beta(1.0)
+        .tile(TileChoice::Fixed(512))
+        .into();
+    exec.submit(req.clone());
     let report = exec.drain();
+    let offload = profile
+        .predict_offload(&req.problem_spec(), None, Some(512))
+        .expect("dgemm is predictable")
+        .total;
+    let upload = quiet().link.h2d.ideal_time(8 * MB);
+    let recs = report.drift.records();
+    assert_eq!(recs.len(), 1);
+    assert_eq!(
+        recs[0].predicted_secs,
+        upload + offload,
+        "the estimate charges W's upload once"
+    );
     assert_eq!(report.completed(), 1);
     assert_eq!(report.metrics.counter("residency_misses_total"), 1);
     assert_eq!(report.metrics.counter("residency_hits_total"), 1);
@@ -292,4 +323,51 @@ fn fifo_policy_reproduces_the_default_run() {
     assert_eq!(default_report.makespan, fifo_report.makespan);
     assert_eq!(default_report.per_device_busy, fifo_report.per_device_busy);
     assert_eq!(default_report.total_flops, fifo_report.total_flops);
+}
+
+/// A closed-queue Predictive drain of `n` small-mix requests on four
+/// devices.
+fn predictive_small_mix(profile: &SystemProfile, n: usize) -> ServeReport {
+    let pool = MultiGpu::new(&quiet(), 4, ExecMode::TimingOnly, 42, profile.clone());
+    let mut exec = ServeSession::with_options(
+        pool,
+        ExecutorConfig::default(),
+        ServeOptions::new().policy(SchedulePolicy::Predictive),
+    )
+    .expect("session");
+    exec.submit_all(small_mix_request_trace(n));
+    let report = exec.drain();
+    assert_eq!(report.completed(), n);
+    report
+}
+
+#[test]
+fn predictive_dispatch_work_is_bounded_by_exact_counts() {
+    // Deterministic counts, not wall clock: the serving layer predicts
+    // each (shape, device) at most once per session, and the pick scores
+    // class heads, so dispatch work grows linearly with the queue. A scan
+    // of every queued request at every pop grows quadratically (~16x
+    // from n to 4n).
+    let profile = deploy(&quiet(), &DeployConfig::quick())
+        .expect("deploys")
+        .profile;
+    let (shapes, devices) = (4, 4);
+    let small = predictive_small_mix(&profile, 256);
+    let large = predictive_small_mix(&profile, 1024);
+    for report in [&small, &large] {
+        let calls = report.metrics.counter("serve_predict_calls_total");
+        assert!(
+            calls > 0 && calls <= shapes * devices,
+            "{calls} predict calls for {shapes} shapes on {devices} devices"
+        );
+    }
+    let scores = |r: &ServeReport| r.metrics.counter("serve_dispatch_scores_total");
+    assert!(scores(&small) > 0);
+    let ratio = scores(&large) as f64 / scores(&small) as f64;
+    assert!(
+        ratio <= 5.0,
+        "scores at 4n / scores at n = {ratio} ({} / {})",
+        scores(&large),
+        scores(&small)
+    );
 }
