@@ -73,8 +73,13 @@ echo "== straggler defense gate (hedging, probation, retry budgets) =="
 # a drained device that then serves again, the retry-budget breaker fails
 # fast under a fault storm, a device lost mid-hedge leaks nothing, and a
 # fully-defended run replays bit-identically. Seeds live in
-# tests/serve_straggler.rs.
+# tests/serve_straggler.rs. The hedge threshold reads an incrementally
+# maintained p95: serve::drift_stats::tests::
+# running_p95_and_mean_match_sort_and_sum checks it (and the telemetry
+# mean) bit for bit against sort-and-sum at every push, across the
+# warm-up boundary and drain resets.
 cargo test --release -q -p cocopelia-xp --test serve_straggler
+cargo test --release -q -p cocopelia-runtime --lib serve::drift_stats
 
 echo "== prefetch gate (prefetch beats baseline, estimate fixes, off-identity) =="
 # The cross-request prefetch acceptance bars: on the warm skewed trace,

@@ -229,8 +229,8 @@ fn window_rotate() {
 }
 
 /// The hedge decision every successful attempt pays when hedging is
-/// armed: the adaptive threshold (p95 over the drift accountant's error
-/// records) against an elapsed clock advance, without launching anything.
+/// armed: the adaptive threshold (the running p95 of the drain's drift
+/// errors) against an elapsed clock advance, without launching anything.
 #[inline(never)]
 fn hedge_decision() {
     let mut tb = testbed_i();
@@ -242,18 +242,24 @@ fn hedge_decision() {
         ServeOptions::new().hedge(HedgeConfig::default()),
     )
     .expect("session");
-    // A few drained requests seed the drift accountant the threshold
-    // consults.
-    for _ in 0..8 {
-        exec.submit(shared_gemm());
+    let decide = |exec: &ServeSession| {
+        for i in 0..50_000u64 {
+            // Alternate clear underruns and gross overruns of a 1 ms
+            // prediction so both outcomes stay hot.
+            let elapsed_ns = 500_000 + (i % 2) * 5_000_000;
+            black_box(exec.hedge_decision_for_bench(black_box(1e-3), black_box(elapsed_ns)));
+        }
+    };
+    // Cold start: no drift records yet, the doubled warm-up multiplier.
+    decide(&exec);
+    // Seed the open drain's drift records directly (a drain would hand
+    // them to its report and reset the threshold to warm-up): 4,096
+    // errors spread over 0–40% put the threshold on its p95 branch.
+    for i in 0..4_096u64 {
+        let err = (i * 7_919 % 4_096) as f64 / 4_096.0 * 0.4;
+        exec.seed_drift_for_bench(1e-3 * (1.0 + err), 1e-3);
     }
-    exec.drain();
-    for i in 0..100_000u64 {
-        // Alternate clear underruns and gross overruns of a 1 ms
-        // prediction so both decision branches stay hot.
-        let elapsed_ns = 500_000 + (i % 2) * 5_000_000;
-        black_box(exec.hedge_decision_for_bench(black_box(1e-3), black_box(elapsed_ns)));
-    }
+    decide(&exec);
 }
 
 /// The prefetch admission decision every primary dispatch pays when

@@ -6,7 +6,9 @@ use crate::error::SimError;
 use crate::fault::{FaultPlan, FaultSite, FaultSpec, FaultStats};
 use crate::funcexec;
 use crate::kernel::{kernel_time, KernelShape};
-use crate::memory::{DevBufId, DeviceMemory, HostArena, HostBufId, HostBuffer, Payload};
+use crate::memory::{
+    BufferMarks, DevBufId, DeviceMemory, HostArena, HostBufId, HostBuffer, Payload,
+};
 use crate::op::{check_mat_ref, CopyDesc, EventId, KernelArgs, OpKind, StreamId};
 use crate::spec::TestbedSpec;
 use crate::time::SimTime;
@@ -289,14 +291,36 @@ impl Gpu {
     /// buffers leaked by a mid-schedule failure can be identified and
     /// reclaimed before a retry.
     pub fn live_device_buffers(&self) -> Vec<DevBufId> {
-        self.dev.live()
+        self.dev.live_from(DevBufId(0))
     }
 
     /// Ids of every live host staging buffer, in ascending registration
     /// order (the host-side counterpart of
     /// [`live_device_buffers`](Gpu::live_device_buffers)).
     pub fn live_host_buffers(&self) -> Vec<HostBufId> {
-        self.host.live()
+        self.host.live_from(HostBufId(0))
+    }
+
+    /// The next-id watermarks of the device and host buffer arenas, in
+    /// O(1). Ids are never reused, so "allocated since the marks were
+    /// taken" is exactly "alive with an id at or past the mark" — what
+    /// [`live_buffers_since`](Gpu::live_buffers_since) walks.
+    pub fn buffer_marks(&self) -> BufferMarks {
+        BufferMarks {
+            dev: self.dev.next_id(),
+            host: self.host.next_id(),
+        }
+    }
+
+    /// Ids of the device and host buffers allocated since `marks` was
+    /// taken and still alive, each ascending. Walks only the slots at or
+    /// past the marks, so its cost is the number of allocations since
+    /// then, not the device's allocation history.
+    pub fn live_buffers_since(&self, marks: BufferMarks) -> (Vec<DevBufId>, Vec<HostBufId>) {
+        (
+            self.dev.live_from(marks.dev),
+            self.host.live_from(marks.host),
+        )
     }
 
     fn check_copy(&self, desc: &CopyDesc) -> Result<(usize, bool), SimError> {
@@ -766,6 +790,55 @@ mod tests {
         assert!(gpu.alloc_device(Dtype::F64, 100).is_ok()); // 800 bytes
         let err = gpu.alloc_device(Dtype::F64, 100).expect_err("oom");
         assert!(matches!(err, SimError::OutOfDeviceMemory { .. }));
+    }
+
+    /// The watermark contract serving rollback rests on: a freed device
+    /// slot or a taken host slot is never handed out again, so ids only
+    /// grow and "alive at or past the mark" equals "allocated since".
+    #[test]
+    fn buffer_ids_are_never_reused_after_free_or_take() {
+        let mut gpu = Gpu::new(quiet(testbed_i()), ExecMode::TimingOnly, 1);
+        let mut seen_dev = Vec::new();
+        let mut seen_host = Vec::new();
+        for round in 0..6 {
+            let marks = gpu.buffer_marks();
+            let before_dev = gpu.live_device_buffers();
+            let before_host = gpu.live_host_buffers();
+            let d = gpu.alloc_device(Dtype::F64, 16).expect("alloc");
+            let h = gpu.register_host_ghost(Dtype::F64, 16, true);
+            assert!(d >= marks.dev && h >= marks.host, "round {round}");
+            assert!(!seen_dev.contains(&d), "device id {d:?} reused");
+            assert!(!seen_host.contains(&h), "host id {h:?} reused");
+            seen_dev.push(d);
+            seen_host.push(h);
+            // Walking past the marks finds exactly the set difference.
+            let (new_dev, new_host) = gpu.live_buffers_since(marks);
+            let diff_dev: Vec<_> = gpu
+                .live_device_buffers()
+                .into_iter()
+                .filter(|b| !before_dev.contains(b))
+                .collect();
+            let diff_host: Vec<_> = gpu
+                .live_host_buffers()
+                .into_iter()
+                .filter(|b| !before_host.contains(b))
+                .collect();
+            assert_eq!(new_dev, diff_dev);
+            assert_eq!(new_host, diff_host);
+            // Free every other allocation: freed slots stay retired.
+            if round % 2 == 0 {
+                gpu.free_device(d).expect("free");
+                gpu.take_host(h).expect("take");
+                assert_eq!(gpu.live_buffers_since(marks), (vec![], vec![]));
+            }
+        }
+        let marks = gpu.buffer_marks();
+        assert!(seen_dev.iter().all(|&d| d < marks.dev));
+        assert!(seen_host.iter().all(|&h| h < marks.host));
+        // A mark from a later arena state than the walk still reads empty.
+        assert_eq!(gpu.live_buffers_since(marks), (vec![], vec![]));
+        assert_eq!(gpu.live_device_buffers().len(), 3);
+        assert_eq!(gpu.live_host_buffers().len(), 3);
     }
 
     #[test]

@@ -65,7 +65,7 @@ pub use error::SimError;
 pub use fault::{DegradeWindow, FaultSpec, FaultStats};
 pub use gpu::{ExecMode, Gpu};
 pub use kernel::{kernel_time, KernelShape};
-pub use memory::{DevBufId, HostBufId, Payload, SimScalar};
+pub use memory::{BufferMarks, DevBufId, HostBufId, Payload, SimScalar};
 pub use op::{CopyDesc, DevMatRef, DevVecRef, EventId, KernelArgs, Region2d, StreamId};
 pub use spec::{
     synthetic_testbed, testbed_i, testbed_ii, DirLinkSpec, GpuSpec, LinkSpec, NoiseSpec,

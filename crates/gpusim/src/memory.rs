@@ -17,6 +17,22 @@ pub struct HostBufId(pub(crate) usize);
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct DevBufId(pub(crate) usize);
 
+/// Next-id watermarks of one device's buffer arenas: the ids the next
+/// device allocation and the next host registration will receive.
+///
+/// Buffer ids index slot vectors that only grow, and a freed or taken
+/// slot is never handed out again, so a buffer alive now with an id at or
+/// past a mark was allocated after the mark was taken — and every buffer
+/// below the mark that is alive now was alive then too. A snapshot of the
+/// marks therefore stands in for a snapshot of the whole live set.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct BufferMarks {
+    /// Id of the next device allocation.
+    pub dev: DevBufId,
+    /// Id of the next host registration.
+    pub host: HostBufId,
+}
+
 /// Element storage of a buffer.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Payload {
@@ -190,13 +206,20 @@ impl HostArena {
             })
     }
 
-    /// Ids of every live (registered, not yet taken) host buffer, ascending.
-    pub(crate) fn live(&self) -> Vec<HostBufId> {
-        self.bufs
+    /// Ids of every live (registered, not yet taken) host buffer at or
+    /// past `from`, ascending.
+    pub(crate) fn live_from(&self, from: HostBufId) -> Vec<HostBufId> {
+        let from = from.0.min(self.bufs.len());
+        self.bufs[from..]
             .iter()
             .enumerate()
-            .filter_map(|(i, b)| b.as_ref().map(|_| HostBufId(i)))
+            .filter_map(|(i, b)| b.as_ref().map(|_| HostBufId(from + i)))
             .collect()
+    }
+
+    /// The id the next registration will receive.
+    pub(crate) fn next_id(&self) -> HostBufId {
+        HostBufId(self.bufs.len())
     }
 }
 
@@ -229,13 +252,20 @@ impl DeviceMemory {
         self.capacity
     }
 
-    /// Ids of every live (not yet freed) device buffer, ascending.
-    pub(crate) fn live(&self) -> Vec<DevBufId> {
-        self.bufs
+    /// Ids of every live (not yet freed) device buffer at or past `from`,
+    /// ascending.
+    pub(crate) fn live_from(&self, from: DevBufId) -> Vec<DevBufId> {
+        let from = from.0.min(self.bufs.len());
+        self.bufs[from..]
             .iter()
             .enumerate()
-            .filter_map(|(i, b)| b.as_ref().map(|_| DevBufId(i)))
+            .filter_map(|(i, b)| b.as_ref().map(|_| DevBufId(from + i)))
             .collect()
+    }
+
+    /// The id the next allocation will receive.
+    pub(crate) fn next_id(&self) -> DevBufId {
+        DevBufId(self.bufs.len())
     }
 
     pub(crate) fn alloc(

@@ -34,6 +34,9 @@ pub struct CallObservation<'a> {
     pub elapsed_secs: f64,
     /// Trace entries the call produced.
     pub entries: &'a [TraceEntry],
+    /// Overlap statistics of `entries` (the caller computes them once for
+    /// its own report as well).
+    pub overlap: OverlapStats,
     /// Tile-cache hits during the call (reused device tiles).
     pub tile_hits: u64,
     /// Tile-cache misses during the call (fresh fetches/allocations).
@@ -86,10 +89,14 @@ impl Observer {
     /// Ingests one finished call: updates counters, histograms, drift
     /// aggregates, and the per-call summary list.
     pub fn observe_call(&mut self, obs: CallObservation<'_>) {
-        let overlap = OverlapStats::from_entries(obs.entries);
+        let overlap = obs.overlap;
         self.metrics.counter_add("calls_total", 1);
-        self.metrics
-            .counter_add(&format!("calls_{}", obs.routine), 1);
+        match calls_counter(obs.routine) {
+            Some(name) => self.metrics.counter_add(name, 1),
+            None => self
+                .metrics
+                .counter_add(&format!("calls_{}", obs.routine), 1),
+        }
         self.metrics
             .counter_add("subkernels_total", obs.subkernels as u64);
         let h2d_bytes: u64 = engine_bytes(obs.entries, EngineKind::CopyH2d);
@@ -111,8 +118,7 @@ impl Observer {
         self.metrics
             .counter_add("tile_cache_misses_total", obs.tile_misses);
         if let Some(model) = obs.model {
-            self.metrics
-                .counter_add(&format!("tile_selections_{}", model.name()), 1);
+            self.metrics.counter_add(selections_counter(model), 1);
         }
         self.metrics.histogram_observe(
             "overlap_efficiency",
@@ -228,6 +234,29 @@ impl Observer {
     }
 }
 
+/// The `calls_<routine>` counter name of the runtime's routine families,
+/// without formatting it per call; `None` for any other routine name.
+fn calls_counter(routine: &str) -> Option<&'static str> {
+    Some(match routine {
+        "gemm" => "calls_gemm",
+        "gemv" => "calls_gemv",
+        "axpy" => "calls_axpy",
+        "dot" => "calls_dot",
+        _ => return None,
+    })
+}
+
+/// The `tile_selections_<model>` counter name of a model.
+fn selections_counter(model: ModelKind) -> &'static str {
+    match model {
+        ModelKind::Cso => "tile_selections_CSO-Model",
+        ModelKind::Baseline => "tile_selections_Baseline-Model",
+        ModelKind::DataLoc => "tile_selections_Dataloc-Model",
+        ModelKind::Bts => "tile_selections_BTS-Model",
+        ModelKind::DataReuse => "tile_selections_DR-Model",
+    }
+}
+
 fn engine_bytes(entries: &[TraceEntry], engine: EngineKind) -> u64 {
     entries
         .iter()
@@ -272,6 +301,7 @@ mod tests {
             subkernels: 8,
             elapsed_secs: 1e-7,
             entries: &entries,
+            overlap: OverlapStats::from_entries(&entries),
             tile_hits: 3,
             tile_misses: 5,
             drift: vec![],
@@ -288,6 +318,27 @@ mod tests {
             .histogram("overlap_efficiency")
             .expect("observed");
         assert_eq!(h.count(), 1);
+    }
+
+    /// The static counter names spell exactly what formatting them did.
+    #[test]
+    fn static_counter_names_match_the_formatted_ones() {
+        for routine in ["gemm", "gemv", "axpy", "dot"] {
+            assert_eq!(calls_counter(routine), Some(&*format!("calls_{routine}")));
+        }
+        assert_eq!(calls_counter("syrk"), None);
+        for model in [
+            ModelKind::Cso,
+            ModelKind::Baseline,
+            ModelKind::DataLoc,
+            ModelKind::Bts,
+            ModelKind::DataReuse,
+        ] {
+            assert_eq!(
+                selections_counter(model),
+                format!("tile_selections_{}", model.name())
+            );
+        }
     }
 
     #[test]
@@ -320,6 +371,7 @@ mod tests {
             subkernels: 4,
             elapsed_secs: 0.001,
             entries: &[],
+            overlap: OverlapStats::default(),
             tile_hits: 0,
             tile_misses: 8,
             drift: vec![],

@@ -45,8 +45,9 @@ pub mod names {
     pub const QUEUE_DEPTH: &str = "queue_depth";
     /// Gauge: quarantined device count at the window's close.
     pub const QUARANTINED: &str = "quarantined_devices";
-    /// Gauge: mean absolute scheduling-prediction drift, seconds.
-    pub const DRIFT: &str = "drift_secs";
+    /// Gauge: mean absolute relative error of the scheduler's offload
+    /// predictions, as a fraction (`0.05` = off by 5% on average).
+    pub const DRIFT: &str = "drift_frac";
     /// Counter: hedged (speculative duplicate) attempts launched.
     pub const HEDGES: &str = "hedge_attempts";
     /// Counter: hedges that won their race against the primary attempt.

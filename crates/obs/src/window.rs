@@ -138,26 +138,44 @@ impl WindowedMetrics {
         self.index * self.window_ns
     }
 
-    /// Adds `v` to counter `name` in the open window.
+    /// Adds `v` to counter `name` in the open window. The name is copied
+    /// only when the counter is created.
     pub fn counter_add(&mut self, name: &str, v: u64) {
-        *self.counters.entry(name.to_owned()).or_insert(0) += v;
+        match self.counters.get_mut(name) {
+            Some(c) => *c += v,
+            None => {
+                self.counters.insert(name.to_owned(), v);
+            }
+        }
     }
 
     /// Sets gauge `name` (last-value-wins; persists across windows).
-    /// Non-finite values are ignored, mirroring [`crate::Registry`].
+    /// Non-finite values are ignored, mirroring [`crate::Registry`]. The
+    /// name is copied only when the gauge is created.
     pub fn gauge_set(&mut self, name: &str, v: f64) {
-        if v.is_finite() {
-            self.gauges.insert(name.to_owned(), v);
+        if !v.is_finite() {
+            return;
+        }
+        match self.gauges.get_mut(name) {
+            Some(g) => *g = v,
+            None => {
+                self.gauges.insert(name.to_owned(), v);
+            }
         }
     }
 
     /// Records `v` into the open window's histogram `name`, creating it
-    /// with `bounds` if absent (later calls ignore `bounds`).
+    /// with `bounds` if absent (later calls ignore `bounds`). The name is
+    /// copied only when the histogram is created.
     pub fn histogram_observe(&mut self, name: &str, bounds: &[f64], v: f64) {
-        self.hists
-            .entry(name.to_owned())
-            .or_insert_with(|| Histogram::new(bounds.to_vec()))
-            .observe(v);
+        match self.hists.get_mut(name) {
+            Some(h) => h.observe(v),
+            None => {
+                let mut h = Histogram::new(bounds.to_vec());
+                h.observe(v);
+                self.hists.insert(name.to_owned(), h);
+            }
+        }
     }
 
     fn snapshot(&self, end_ns: u64) -> WindowSnapshot {

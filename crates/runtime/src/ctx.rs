@@ -348,6 +348,7 @@ impl Cocopelia {
             subkernels,
             elapsed_secs: actual_secs,
             entries,
+            overlap,
             tile_hits,
             tile_misses,
             drift: drift.clone(),

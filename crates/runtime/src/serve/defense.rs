@@ -8,10 +8,11 @@ use crate::error::RequestId;
 use crate::operand::{MatOperand, TileChoice};
 use crate::request::{GemmRequest, RoutineRequest};
 use cocopelia_core::models::Prediction;
-use cocopelia_gpusim::SimTime;
-use cocopelia_obs::{DriftAccountant, DriftRecord, Registry};
+use cocopelia_gpusim::{BufferMarks, SimTime};
+use cocopelia_obs::Registry;
 
-use super::dispatch::{device_lost, free_resident, Live};
+use super::dispatch::{device_lost, free_resident};
+use super::drift_stats::DriftStats;
 use super::queue::ShapeId;
 use super::ServeSession;
 
@@ -263,21 +264,17 @@ impl Defense {
 
     /// The hedge threshold, in virtual ns, of an attempt predicted at
     /// `predicted_secs`: the configured base multiplier widened by the
-    /// 95th percentile of the drift accountant's observed absolute
-    /// relative error, so a model that routinely misses by 40% does not
-    /// trigger hedges on ordinary 40% overruns. With fewer than
-    /// [`HEDGE_WARMUP`] drift records the base is doubled instead (cold
-    /// start: trust nothing, hedge only on gross overruns). `None` when
-    /// hedging is disarmed.
-    fn hedge_threshold_ns(&self, predicted_secs: f64, drift: &DriftAccountant) -> Option<u64> {
+    /// 95th percentile of the drain's observed absolute relative error
+    /// (maintained incrementally in `drift`), so a model that routinely
+    /// misses by 40% does not trigger hedges on ordinary 40% overruns.
+    /// With fewer than [`HEDGE_WARMUP`] drift records the base is doubled
+    /// instead (cold start: trust nothing, hedge only on gross overruns).
+    /// `None` when hedging is disarmed. O(1).
+    fn hedge_threshold_ns(&self, predicted_secs: f64, drift: &DriftStats) -> Option<u64> {
         let cfg = self.hedge?;
-        let recs = drift.records();
-        let multiplier = if recs.len() < HEDGE_WARMUP {
-            cfg.multiplier * 2.0
-        } else {
-            let mut errs: Vec<f64> = recs.iter().map(DriftRecord::abs_rel_err).collect();
-            errs.sort_by(f64::total_cmp);
-            cfg.multiplier * (1.0 + errs[(errs.len() - 1) * 95 / 100])
+        let multiplier = match drift.p95() {
+            Some(p95) if drift.len() >= HEDGE_WARMUP => cfg.multiplier * (1.0 + p95),
+            _ => cfg.multiplier * 2.0,
         };
         Some((predicted_secs * multiplier * 1e9) as u64)
     }
@@ -288,7 +285,7 @@ impl Defense {
         &self,
         predicted_secs: f64,
         elapsed_ns: u64,
-        drift: &DriftAccountant,
+        drift: &DriftStats,
     ) -> bool {
         self.hedge_threshold_ns(predicted_secs, drift)
             .is_some_and(|t| t > 0 && elapsed_ns > t)
@@ -425,7 +422,7 @@ impl ServeSession {
         clock_before: SimTime,
         clock_after: SimTime,
         len_before: usize,
-        pre: &Live,
+        pre: BufferMarks,
         estimate: Option<&(Prediction, f64)>,
     ) -> HedgeOutcome {
         // No offload estimate (e.g. an undeployed profile): there is no
@@ -434,7 +431,10 @@ impl ServeSession {
             return HedgeOutcome::NotLaunched;
         };
         let predicted = upload + pred.total;
-        let Some(threshold_ns) = self.defense.hedge_threshold_ns(predicted, &self.drift) else {
+        let Some(threshold_ns) = self
+            .defense
+            .hedge_threshold_ns(predicted, &self.drift_stats)
+        else {
             return HedgeOutcome::NotLaunched;
         };
         let elapsed_ns = clock_after
@@ -464,10 +464,10 @@ impl ServeSession {
             // finished; there is nothing to race.
             return HedgeOutcome::NotLaunched;
         }
-        // Snapshot the hedge device so a losing hedge rolls back
+        // Mark the hedge device's buffer ids so a losing hedge rolls back
         // precisely: newly-cached operands evicted and freed, leaked
         // buffers released, everything predating the hedge untouched.
-        let pre_b = self.live_buffers(b);
+        let pre_b = self.buffer_marks(b);
         self.advance_to(b, b_start_ns);
         let len_b_before = self.pool.devices()[b].gpu().trace().len();
         let estimate_b = self.estimate(b, shape, req);
@@ -506,7 +506,7 @@ impl ServeSession {
                 if quarantine {
                     self.quarantine_traced(id, b, b_after_ns);
                 } else {
-                    self.release_leaked(b, &pre_b);
+                    self.release_leaked(b, pre_b);
                 }
                 return HedgeOutcome::PrimaryStands;
             }
@@ -518,7 +518,7 @@ impl ServeSession {
             // time it burned until the cancellation stays charged to the
             // hedge device.
             self.pool.device_mut(b).gpu_mut().cancel_to(clock_after);
-            self.rollback_cancelled(b, req, &pre_b);
+            self.rollback_cancelled(b, req, pre_b);
             self.metrics.counter_add("hedge_losses_total", 1);
             self.metrics.counter_add("hedge_cancel_total", 1);
             if self.tracer.is_some() {
@@ -579,16 +579,16 @@ impl ServeSession {
 
     /// Rolls back the cancelled side of a hedge race on device `dev`:
     /// shared operands the attempt *newly* inserted into the residency
-    /// cache (their buffers were not alive before the attempt) are
+    /// cache (their buffer ids are at or past the pre-attempt mark) are
     /// removed and freed, then every remaining buffer the attempt
     /// allocated is released. Entries resident before the attempt — and
     /// the cache hits they served — survive untouched.
-    fn rollback_cancelled(&mut self, dev: usize, req: &RoutineRequest, pre: &Live) {
+    fn rollback_cancelled(&mut self, dev: usize, req: &RoutineRequest, pre: BufferMarks) {
         let mut rolled_back_bytes = 0u64;
         for key in req.shared_keys() {
             let fresh = self.residency[dev]
                 .buffer_of(key)
-                .is_some_and(|b| !pre.dev.contains(&b));
+                .is_some_and(|b| b >= pre.dev);
             if fresh {
                 if let Some(e) = self.residency[dev].remove(key) {
                     rolled_back_bytes += e.bytes as u64;
@@ -660,7 +660,7 @@ impl ServeSession {
             return;
         }
         self.advance_to(d, p.next_due_ns);
-        let pre = self.live_buffers(d);
+        let pre = self.buffer_marks(d);
         let before_ns = self.now_ns(d);
         self.metrics.counter_add("probe_attempts_total", 1);
         let goal = cfg.successes.max(1);
@@ -688,7 +688,7 @@ impl ServeSession {
                 if let Some(t) = self.tracer.as_mut() {
                     t.probe(d, before_ns, after_ns, &format!("probe fault: {e}"));
                 }
-                self.release_leaked(d, &pre);
+                self.release_leaked(d, pre);
                 p.consecutive_ok = 0;
                 p.round += 1;
                 if p.round >= cfg.max_rounds.max(1) {
@@ -719,5 +719,109 @@ impl ServeSession {
                 self.metrics.counter_add("budget_halfopen_total", 1);
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::multigpu::MultiGpu;
+    use crate::request::SharedMat;
+    use crate::serve::ExecutorConfig;
+    use cocopelia_core::profile::SystemProfile;
+    use cocopelia_core::transfer::{LatBw, TransferModel};
+    use cocopelia_gpusim::{testbed_i, DevBufId, ExecMode, NoiseSpec};
+    use cocopelia_hostblas::Dtype;
+    use std::collections::BTreeSet;
+
+    fn shared_gemm(a: &str, b: &str, n: usize) -> RoutineRequest {
+        GemmRequest::<f64>::new(
+            SharedMat::new(a, n, n),
+            SharedMat::new(b, n, n),
+            MatOperand::HostGhost { rows: n, cols: n },
+        )
+        .tile(TileChoice::Fixed(n))
+        .into()
+    }
+
+    fn live(s: &ServeSession, d: usize) -> BTreeSet<DevBufId> {
+        s.pool.devices()[d]
+            .gpu()
+            .live_device_buffers()
+            .into_iter()
+            .collect()
+    }
+
+    /// The cancelled side of a lost hedge race, rolled back on a device
+    /// that already holds many live buffers below its buffer-id mark —
+    /// warm cached operands plus one allocation the cache does not own.
+    /// The rollback frees exactly what the attempt allocated (its fresh
+    /// cached operand and a leaked buffer), keeps the warm operand it
+    /// hit, and leaves the cache equal to the live set.
+    #[test]
+    fn losing_hedge_rollback_frees_exactly_its_own_buffers() {
+        let mut tb = testbed_i();
+        tb.noise = NoiseSpec::NONE;
+        let profile = SystemProfile::new(
+            "rollback-test",
+            TransferModel {
+                h2d: LatBw { t_l: 0.0, t_b: 0.0 },
+                d2h: LatBw { t_l: 0.0, t_b: 0.0 },
+                sl_h2d: 1.0,
+                sl_d2h: 1.0,
+            },
+        );
+        let pool = MultiGpu::new(&tb, 2, ExecMode::TimingOnly, 42, profile);
+        let mut s = ServeSession::new(pool, ExecutorConfig::default());
+        for i in 0..40 {
+            s.submit(shared_gemm(&format!("WA{i}"), &format!("WB{i}"), 256));
+        }
+        s.drain();
+        let dev = 1;
+        let warm = (0..40)
+            .map(|i| format!("WA{i}"))
+            .find(|k| s.residency[dev].contains(k))
+            .expect("the warm drain cached operands on both devices");
+        let foreign = s
+            .pool
+            .device_mut(dev)
+            .gpu_mut()
+            .alloc_device(Dtype::F64, 1024)
+            .expect("alloc");
+        let before = live(&s, dev);
+        assert!(before.len() >= 32, "only {} live buffers", before.len());
+
+        // The attempt hits the warm operand (below the mark), uploads a
+        // fresh one (past it), and leaks one more buffer.
+        let req = shared_gemm(&warm, "FRESH", 256);
+        let pre = s.buffer_marks(dev);
+        let t0 = s.pool.devices()[dev].gpu().now();
+        s.execute_once(dev, req.clone(), None).expect("attempt");
+        let leaked = s
+            .pool
+            .device_mut(dev)
+            .gpu_mut()
+            .alloc_device(Dtype::F64, 64)
+            .expect("alloc");
+        assert!(s.residency[dev].contains("FRESH"));
+        assert!(live(&s, dev).contains(&leaked));
+        s.pool.device_mut(dev).gpu_mut().cancel_to(t0);
+        s.rollback_cancelled(dev, &req, pre);
+
+        assert_eq!(
+            live(&s, dev),
+            before,
+            "rollback freed exactly the attempt's buffers"
+        );
+        assert!(!s.residency[dev].contains("FRESH"));
+        assert!(s.residency[dev].contains(&warm));
+        assert_eq!(s.metrics.counter("hedge_cancelled_bytes"), 256 * 256 * 8);
+        s.pool
+            .device_mut(dev)
+            .gpu_mut()
+            .free_device(foreign)
+            .expect("free");
+        let cached: BTreeSet<DevBufId> = s.residency[dev].device_buffers().into_iter().collect();
+        assert_eq!(live(&s, dev), cached, "live set == residency cache");
     }
 }

@@ -7,7 +7,7 @@ use crate::error::{FaultClass, RequestError, RequestId, RuntimeError};
 use crate::operand::{MatOperand, VecOperand};
 use crate::request::{MatArg, RoutineRequest, VecArg};
 use cocopelia_core::models::Prediction;
-use cocopelia_gpusim::{DevBufId, HostBufId, SimError, SimScalar, SimTime};
+use cocopelia_gpusim::{BufferMarks, DevBufId, SimError, SimScalar, SimTime};
 use cocopelia_obs::drift::ABS_ERROR_BOUNDS;
 use cocopelia_obs::{DriftRecord, OverlapStats, Registry};
 use std::collections::BTreeSet;
@@ -17,14 +17,6 @@ use super::queue::{Queued, ShapeId};
 use super::residency::{ResidencyCache, ResidentHandle};
 use super::session::QUEUE_DEPTH_BOUNDS;
 use super::{RequestOutcome, RequestStatus, SchedulePolicy, ServeSession};
-
-/// The buffers alive on one device before an attempt: whatever is alive
-/// afterwards and absent here was allocated by the attempt.
-#[derive(Debug)]
-pub(super) struct Live {
-    pub(super) dev: BTreeSet<DevBufId>,
-    host: BTreeSet<HostBufId>,
-}
 
 /// True when the error is the device itself being lost.
 pub(super) fn device_lost(e: &RuntimeError) -> bool {
@@ -48,13 +40,11 @@ impl ServeSession {
         }
     }
 
-    /// The buffers alive on device `d` now.
-    pub(super) fn live_buffers(&self, d: usize) -> Live {
-        let gpu = self.pool.devices()[d].gpu();
-        Live {
-            dev: gpu.live_device_buffers().into_iter().collect(),
-            host: gpu.live_host_buffers().into_iter().collect(),
-        }
+    /// Device `d`'s buffer-id watermarks, taken before an attempt:
+    /// whatever is alive afterwards at or past them was allocated by the
+    /// attempt (ids are never reused; see [`BufferMarks`]). O(1).
+    pub(super) fn buffer_marks(&self, d: usize) -> BufferMarks {
+        self.pool.devices()[d].gpu().buffer_marks()
     }
 
     /// Flow seconds of a request finishing now on device `d`: the
@@ -356,7 +346,7 @@ impl ServeSession {
             // making the floor a no-op (clocks never run backwards from
             // `start`).
             self.advance_to(d, not_before_ns.max(start[d].as_nanos() + arrival_ns));
-            let pre = self.live_buffers(d);
+            let pre = self.buffer_marks(d);
             // Predicted completion of this attempt: missing-operand upload
             // plus the model's offload estimate. Recorded against the
             // actual clock advance under every policy, so FIFO/EDF runs
@@ -393,7 +383,7 @@ impl ServeSession {
                         clock_before,
                         clock_after,
                         len_before,
-                        &pre,
+                        pre,
                         estimate.as_ref(),
                     );
                     if let HedgeOutcome::Won(hreport, hdev, hend_ns) = hedged {
@@ -444,16 +434,16 @@ impl ServeSession {
                             // Only a retry justifies the scorched-earth
                             // reclaim that evicts the whole residency
                             // cache to make room.
-                            self.reclaim(d, &pre);
+                            self.reclaim(d, pre);
                         } else {
                             // No retry will run: free only what the failed
                             // attempt leaked and keep warm operands for
                             // later requests.
-                            self.release_leaked(d, &pre);
+                            self.release_leaked(d, pre);
                         }
                     } else {
                         // Programming errors never improve on retry.
-                        self.release_leaked(d, &pre);
+                        self.release_leaked(d, pre);
                         break Err(e);
                     }
                     if exhausted {
@@ -539,7 +529,8 @@ impl ServeSession {
     }
 
     /// Records one attempt's predicted-vs-actual offload time in the
-    /// drift accountant and the `sched_predict_abs_err` histograms.
+    /// drift accountant, its running statistics, and the
+    /// `sched_predict_abs_err` histograms.
     pub(super) fn record_drift(
         &mut self,
         routine: &'static str,
@@ -561,6 +552,13 @@ impl ServeSession {
             .histogram_observe("sched_predict_abs_err", &ABS_ERROR_BOUNDS, err);
         self.metrics
             .histogram_observe(self.policy.abs_err_metric(), &ABS_ERROR_BOUNDS, err);
+        self.push_drift(rec);
+    }
+
+    /// Appends one drift record to the drain's accountant and its running
+    /// statistics (the hedge p95 and the telemetry mean).
+    pub(super) fn push_drift(&mut self, rec: DriftRecord) {
+        self.drift_stats.push(rec.abs_rel_err());
         self.drift.record(rec);
     }
 
@@ -693,9 +691,9 @@ impl ServeSession {
 
     /// Returns device `d` to a clean state after a failed attempt: waits
     /// for in-flight work, evicts its residency cache, and frees any
-    /// buffer the failed attempt leaked (allocations alive now that were
-    /// not alive before the attempt).
-    fn reclaim(&mut self, d: usize, pre: &Live) {
+    /// buffer the failed attempt leaked (allocations alive now at or past
+    /// the pre-attempt marks).
+    fn reclaim(&mut self, d: usize, pre: BufferMarks) {
         let dev = self.pool.device_mut(d);
         let _ = dev.gpu_mut().synchronize();
         let evicted = self.residency[d].clear();
@@ -704,15 +702,12 @@ impl ServeSession {
         for e in evicted {
             free_resident(dev, e.handle);
         }
-        for b in dev.gpu().live_device_buffers() {
-            if !pre.dev.contains(&b) {
-                let _ = dev.gpu_mut().free_device(b);
-            }
+        let (leaked_dev, leaked_host) = dev.gpu().live_buffers_since(pre);
+        for b in leaked_dev {
+            let _ = dev.gpu_mut().free_device(b);
         }
-        for h in dev.gpu().live_host_buffers() {
-            if !pre.host.contains(&h) {
-                let _ = dev.gpu_mut().take_host(h);
-            }
+        for h in leaked_host {
+            let _ = dev.gpu_mut().take_host(h);
         }
         // The cache wipe above already freed any prefetched buffers; drop
         // their tracking entries too so a later dispatch of the target
@@ -721,22 +716,21 @@ impl ServeSession {
     }
 
     /// Frees buffers a failed attempt leaked on device `d` without
-    /// touching the residency cache: allocations alive now that were
-    /// neither alive before the attempt nor adopted by the cache (operands
-    /// the attempt successfully resolved stay warm for later requests).
-    pub(super) fn release_leaked(&mut self, d: usize, pre: &Live) {
+    /// touching the residency cache: allocations alive now at or past the
+    /// pre-attempt marks that the cache did not adopt (operands the
+    /// attempt successfully resolved stay warm for later requests).
+    pub(super) fn release_leaked(&mut self, d: usize, pre: BufferMarks) {
         let cached: BTreeSet<DevBufId> = self.residency[d].device_buffers().into_iter().collect();
         let dev = self.pool.device_mut(d);
         let _ = dev.gpu_mut().synchronize();
-        for b in dev.gpu().live_device_buffers() {
-            if !pre.dev.contains(&b) && !cached.contains(&b) {
+        let (new_dev, new_host) = dev.gpu().live_buffers_since(pre);
+        for b in new_dev {
+            if !cached.contains(&b) {
                 let _ = dev.gpu_mut().free_device(b);
             }
         }
-        for h in dev.gpu().live_host_buffers() {
-            if !pre.host.contains(&h) {
-                let _ = dev.gpu_mut().take_host(h);
-            }
+        for h in new_host {
+            let _ = dev.gpu_mut().take_host(h);
         }
     }
 }

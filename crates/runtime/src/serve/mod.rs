@@ -61,6 +61,7 @@
 mod admission;
 mod defense;
 mod dispatch;
+mod drift_stats;
 mod prefetch;
 mod queue;
 mod report;

@@ -297,8 +297,9 @@ impl ResidencyCache {
     /// The device buffer backing the entry cached under `key`, when
     /// resident (does not refresh its LRU position). Hedged re-dispatch
     /// uses this to tell which of a cancelled attempt's resolved operands
-    /// were *newly* uploaded — their buffers were not alive before the
-    /// attempt — and must be rolled back via [`remove`](Self::remove).
+    /// were *newly* uploaded — their buffer ids are at or past the
+    /// attempt's [`BufferMarks`](cocopelia_gpusim::BufferMarks) — and
+    /// must be rolled back via [`remove`](Self::remove).
     pub(crate) fn buffer_of(&self, key: &str) -> Option<DevBufId> {
         self.entries.get(key).map(|e| match e.handle {
             ResidentHandle::Mat(m) => m.raw_buf(),

@@ -12,6 +12,7 @@ use cocopelia_obs::{DeviceLane, DriftAccountant, DriftRecord, Registry};
 
 use super::admission::Admission;
 use super::defense::Defense;
+use super::drift_stats::DriftStats;
 use super::prefetch::Prefetcher;
 use super::queue::{PredictionTable, Queued, SessionQueue};
 use super::residency::ResidencyCache;
@@ -279,6 +280,9 @@ pub struct ServeSession {
     pub(super) outcomes: Vec<RequestOutcome>,
     pub(super) metrics: Registry,
     pub(super) drift: DriftAccountant,
+    /// Running p95 and mean of `drift`'s absolute relative errors; reset
+    /// with it when the drain hands the accountant to its report.
+    pub(super) drift_stats: DriftStats,
     next_id: u64,
     /// Devices removed from dispatch after repeated faults or loss.
     pub(super) quarantined: Vec<bool>,
@@ -352,6 +356,7 @@ impl ServeSession {
             outcomes: Vec::new(),
             metrics: Registry::new(),
             drift: DriftAccountant::new(),
+            drift_stats: DriftStats::default(),
             next_id: 0,
             quarantined: vec![false; count],
             fault_streak: vec![0; count],
@@ -548,6 +553,7 @@ impl ServeSession {
         }
         let (trace, trace_dropped) = self.finish_trace();
         self.admission.end_drain();
+        self.drift_stats.clear();
         let mut report = ServeReport {
             outcomes: std::mem::take(&mut self.outcomes),
             makespan,
@@ -658,17 +664,6 @@ impl ServeSession {
             .unwrap_or(SimTime::ZERO)
     }
 
-    /// Mean absolute relative error of the scheduler's offload
-    /// predictions so far; `0.0` before the first prediction.
-    fn mean_abs_drift(&self) -> f64 {
-        let recs = self.drift.records();
-        if recs.is_empty() {
-            0.0
-        } else {
-            recs.iter().map(DriftRecord::abs_rel_err).sum::<f64>() / recs.len() as f64
-        }
-    }
-
     /// Feeds freshly produced engine-trace entries and spans into the
     /// telemetry stream/ring, advancing the per-device and span
     /// watermarks.
@@ -678,7 +673,7 @@ impl ServeSession {
             let trace = self.pool.devices()[d].gpu().trace();
             let new_len = trace.len();
             if new_len > mark {
-                tele.stream_lane(d, &format!("dev{d}"), trace.entries_since(mark), new_len);
+                tele.stream_lane(d, trace.entries_since(mark), new_len);
             }
         }
         if let Some(t) = self.tracer.as_ref() {
@@ -693,7 +688,7 @@ impl ServeSession {
             elapsed_ns: elapsed.as_nanos(),
             queue_depth: self.queue.len(),
             quarantined: self.quarantined.iter().filter(|&&q| q).count(),
-            mean_abs_drift: self.mean_abs_drift(),
+            mean_abs_drift: self.drift_stats.mean(),
             metrics: &self.metrics,
         }
     }
@@ -772,7 +767,25 @@ impl ServeSession {
     #[doc(hidden)]
     pub fn hedge_decision_for_bench(&self, predicted_secs: f64, elapsed_ns: u64) -> bool {
         self.defense
-            .hedge_fires(predicted_secs, elapsed_ns, &self.drift)
+            .hedge_fires(predicted_secs, elapsed_ns, &self.drift_stats)
+    }
+
+    /// Records one synthetic drift record (predicted against actual
+    /// offload seconds) in the current drain's accountant and running
+    /// statistics, for the microbenchmark harness: seeds the state the
+    /// hedge threshold reads without running the requests that would
+    /// produce it (a drain hands its records to the report).
+    #[doc(hidden)]
+    pub fn seed_drift_for_bench(&mut self, predicted_secs: f64, actual_secs: f64) {
+        let call = self.drift.records().len() as u64;
+        self.push_drift(DriftRecord {
+            routine: "gemm",
+            call,
+            model: cocopelia_core::models::ModelKind::DataReuse,
+            tile: 512,
+            predicted_secs,
+            actual_secs,
+        });
     }
 
     /// The prefetch admission decision for one candidate operand set,

@@ -25,7 +25,6 @@ use cocopelia_obs::{
     FlightDump, FlightRecorder, Registry, SloBreach, SloEngine, SloSpec, SloStatus, Span,
     WindowSnapshot, WindowedMetrics,
 };
-use std::collections::BTreeMap;
 use std::fmt;
 use std::fmt::Write as _;
 use std::fs::File;
@@ -103,7 +102,8 @@ pub struct WatchWindow {
     pub faults: u64,
     /// Quarantined devices when the window closed.
     pub quarantined: usize,
-    /// Mean absolute scheduling-prediction drift, seconds.
+    /// Mean absolute relative error of the drain's offload predictions so
+    /// far, as a fraction (`0.05` = predictions off by 5% on average).
     pub mean_abs_drift: f64,
     /// Hedge attempts launched in the window.
     pub hedges: u64,
@@ -172,7 +172,7 @@ impl WatchWindow {
             let _ = write!(defense, " pf={}/{}", self.prefetch_hits, self.prefetches);
         }
         format!(
-            "[w{:03} {:9.3}-{:9.3}ms] q={} done={} miss={} fail={} rej={} coal={} p95={} hit={} faults={} quar={} drift={:.3}us{} slo={}",
+            "[w{:03} {:9.3}-{:9.3}ms] q={} done={} miss={} fail={} rej={} coal={} p95={} hit={} faults={} quar={} drift={:.2}%{} slo={}",
             self.index,
             ms(self.start),
             ms(self.end),
@@ -186,7 +186,7 @@ impl WatchWindow {
             hit,
             self.faults,
             self.quarantined,
-            self.mean_abs_drift * 1e6,
+            self.mean_abs_drift * 100.0,
             defense,
             slo,
         )
@@ -267,7 +267,7 @@ pub(crate) struct TickState<'a> {
     pub queue_depth: usize,
     /// Quarantined device count.
     pub quarantined: usize,
-    /// Mean absolute prediction drift so far, seconds.
+    /// Mean absolute relative prediction error so far, as a fraction.
     pub mean_abs_drift: f64,
     /// The run-lifetime registry (read-only; per-window deltas are
     /// derived against an internal baseline).
@@ -293,8 +293,9 @@ pub(crate) struct Telemetry {
     span_mark: u64,
     /// Per-device engine-trace watermark for lane streaming.
     lane_mark: Vec<usize>,
-    /// Registry-counter baseline for per-window deltas.
-    base: BTreeMap<String, u64>,
+    /// Registry-counter baseline for per-window deltas, indexed like
+    /// [`DELTA_COUNTERS`].
+    base: [u64; DELTA_COUNTERS.len()],
 }
 
 impl fmt::Debug for Telemetry {
@@ -329,7 +330,7 @@ impl Telemetry {
             dumps: Vec::new(),
             span_mark: 0,
             lane_mark: Vec::new(),
-            base: BTreeMap::new(),
+            base: [0; DELTA_COUNTERS.len()],
             cfg,
         })
     }
@@ -349,12 +350,9 @@ impl Telemetry {
         self.dumps.clear();
         self.span_mark = 0;
         self.lane_mark = lane_marks;
-        self.base.clear();
         // Baseline every delta-tracked counter so pre-run counts (e.g.
         // from an earlier drain on the same executor) don't leak in.
-        for name in DELTA_COUNTERS {
-            self.base.insert((*name).to_owned(), metrics.counter(name));
-        }
+        self.base = DELTA_COUNTERS.map(|name| metrics.counter(name));
     }
 
     /// Feeds spans recorded since the last call into the ring and the
@@ -381,11 +379,11 @@ impl Telemetry {
         self.lane_mark.get(d).copied().unwrap_or(0)
     }
 
-    /// Streams freshly produced engine entries of device `d`.
+    /// Streams freshly produced engine entries of device `d` (lane name
+    /// `dev{d}`, formatted only when a stream is open).
     pub(crate) fn stream_lane(
         &mut self,
         d: usize,
-        name: &str,
         entries: &[cocopelia_gpusim::TraceEntry],
         new_len: usize,
     ) {
@@ -394,7 +392,8 @@ impl Telemetry {
         }
         self.lane_mark[d] = new_len;
         if !entries.is_empty() && self.stream.is_some() {
-            self.stream_op(|w| w.write_entries(d, name, entries));
+            let name = format!("dev{d}");
+            self.stream_op(|w| w.write_entries(d, &name, entries));
         }
     }
 
@@ -459,7 +458,12 @@ impl Telemetry {
             self.flush_stream();
         }
         // Intra-window fast path: a breach observable mid-window fires
-        // now, while the breaching request's spans are still ringed.
+        // now, while the breaching request's spans are still ringed. With
+        // no objectives there is nothing to evaluate, so the open window
+        // is not snapshotted.
+        if self.slo.specs().is_empty() {
+            return;
+        }
         let peek = self.win.peek(st.elapsed_ns);
         let partial = self.slo.evaluate_partial(&peek);
         for b in partial {
@@ -504,34 +508,30 @@ impl Telemetry {
         self.win
             .gauge_set(names::QUARANTINED, st.quarantined as f64);
         self.win.gauge_set(names::DRIFT, st.mean_abs_drift);
-        let faults = self.delta(st.metrics, "fault_transient_total")
-            + self.delta(st.metrics, "fault_degraded_total")
-            + self.delta(st.metrics, "fault_fatal_total");
-        self.win.counter_add(names::FAULTS, faults);
-        let hits = self.delta(st.metrics, "residency_hits_total");
-        let misses = self.delta(st.metrics, "residency_misses_total");
+        let [transient, degraded, fatal, hits, misses, hedges, hedge_wins, probes, fastfails, prefetches, prefetch_hits] =
+            self.deltas(st.metrics);
+        self.win
+            .counter_add(names::FAULTS, transient + degraded + fatal);
         self.win.counter_add(names::RESIDENCY_HITS, hits);
         self.win.counter_add(names::RESIDENCY_MISSES, misses);
-        let hedges = self.delta(st.metrics, "hedge_attempts_total");
-        let hedge_wins = self.delta(st.metrics, "hedge_wins_total");
-        let probes = self.delta(st.metrics, "probe_attempts_total");
-        let fastfails = self.delta(st.metrics, "budget_fastfail_total");
         self.win.counter_add(names::HEDGES, hedges);
         self.win.counter_add(names::HEDGE_WINS, hedge_wins);
         self.win.counter_add(names::PROBES, probes);
         self.win.counter_add(names::BUDGET_FASTFAILS, fastfails);
-        let prefetches = self.delta(st.metrics, "prefetch_issued_total");
-        let prefetch_hits = self.delta(st.metrics, "prefetch_hits_total");
         self.win.counter_add(names::PREFETCHES, prefetches);
         self.win.counter_add(names::PREFETCH_HITS, prefetch_hits);
     }
 
-    fn delta(&mut self, metrics: &Registry, name: &str) -> u64 {
-        let cur = metrics.counter(name);
-        let base = self.base.entry(name.to_owned()).or_insert(0);
-        let d = cur.saturating_sub(*base);
-        *base = cur;
-        d
+    /// Growth of every [`DELTA_COUNTERS`] counter since the previous
+    /// call (or [`begin`](Self::begin)), advancing the baseline.
+    fn deltas(&mut self, metrics: &Registry) -> [u64; DELTA_COUNTERS.len()] {
+        let mut out = [0; DELTA_COUNTERS.len()];
+        for ((name, base), d) in DELTA_COUNTERS.iter().zip(&mut self.base).zip(&mut out) {
+            let cur = metrics.counter(name);
+            *d = cur.saturating_sub(*base);
+            *base = cur;
+        }
+        out
     }
 
     fn close_window(&mut self, snap: WindowSnapshot) {
@@ -570,8 +570,9 @@ impl Telemetry {
     }
 }
 
-/// Registry counters whose per-window deltas telemetry tracks.
-const DELTA_COUNTERS: &[&str] = &[
+/// Registry counters whose per-window deltas telemetry tracks, in the
+/// order [`Telemetry::deltas`] returns them.
+const DELTA_COUNTERS: [&str; 11] = [
     "fault_transient_total",
     "fault_degraded_total",
     "fault_fatal_total",
@@ -638,7 +639,7 @@ mod tests {
             residency_hit_rate: Some(0.875),
             faults: 2,
             quarantined: 0,
-            mean_abs_drift: 1.25e-6,
+            mean_abs_drift: 0.0041,
             hedges: 0,
             hedge_wins: 0,
             probes: 0,
@@ -649,7 +650,7 @@ mod tests {
         };
         assert_eq!(
             ww.render(),
-            "[w003    15.000-   20.000ms] q=4 done=9 miss=1 fail=0 rej=2 coal=1 p95=2.310ms hit=88% faults=2 quar=0 drift=1.250us slo=-"
+            "[w003    15.000-   20.000ms] q=4 done=9 miss=1 fail=0 rej=2 coal=1 p95=2.310ms hit=88% faults=2 quar=0 drift=0.41% slo=-"
         );
         let empty = WatchWindow {
             flow_p95_secs: None,
@@ -668,7 +669,7 @@ mod tests {
         };
         assert!(
             busy.render()
-                .contains("drift=1.250us hedge=3/1 probe=2 ff=4 slo=-"),
+                .contains("drift=0.41% hedge=3/1 probe=2 ff=4 slo=-"),
             "{}",
             busy.render()
         );
